@@ -7,19 +7,20 @@ that expressions over many variable subsets cannot silently transpose axes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import UsageError, ValidationError
 
+if TYPE_CHECKING:
+    from .regions import AuxJoint
+
 # Normalization tolerance on ingest.
 NORM_TOL = 1e-12
-# Information quantities this far below zero are clamped to zero ...
-CLAMP_TOL = 1e-10
-# ... but anything below this indicates a real bug and raises.
+# Information quantities down to this far below zero are float noise and
+# clamp to zero; anything lower indicates a real bug and raises.
 HARD_TOL = 1e-6
 
 
@@ -34,11 +35,7 @@ def _clamp(value: float, what: str) -> float:
     """Clamp float noise below zero; hard-error on real negativity."""
     if value >= 0.0:
         return value
-    if value >= -CLAMP_TOL:
-        return 0.0
     if value >= -HARD_TOL:
-        # grey zone: still noise for chained computations, clamp but keep
-        # the value distinguishable from a modeling bug
         return 0.0
     raise ValidationError(f"{what} = {value}: negative beyond tolerance")
 
@@ -206,21 +203,12 @@ class Channel3:
         except KeyError as e:
             raise ValidationError(f"Channel3 JSON: missing key {e}") from e
 
-    @classmethod
-    def from_json(cls, path: str) -> "Channel3":
-        with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{path}: malformed JSON ({e})") from e
-        return cls.from_dict(d)
-
     def to_dict(self) -> dict:
         return {"nx": self.nx, "ny1": self.ny1, "ny2": self.ny2,
                 "ny3": self.ny3, "p": self.p.tolist()}
 
 
-def induced_joint(ch: Channel3, aux: "AuxJointLike") -> JointPmf:
+def induced_joint(ch: Channel3, aux: AuxJoint) -> JointPmf:
     """Joint law of (U1,U2,U3,X,Y1,Y2,Y3) when `aux` drives the channel.
 
     p(u1,u2,u3,x,y1,y2,y3) = p(u1,u2,u3,x) * p(y1,y2,y3|x).
@@ -233,9 +221,3 @@ def induced_joint(ch: Channel3, aux: "AuxJointLike") -> JointPmf:
             f"induced_joint: aux X alphabet {a.shape[3]} != channel nx {ch.nx}")
     joint = np.einsum("abcx,xijk->abcxijk", a, ch.p)
     return JointPmf(("U1", "U2", "U3", "X", "Y1", "Y2", "Y3"), joint)
-
-
-class AuxJointLike:
-    """Anything with a rank-4 `.p` tensor over (U1,U2,U3,X); see regions."""
-
-    p: np.ndarray

@@ -69,36 +69,46 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
+def _load(path: str, what: str, build):
+    """Build an object from a JSON input file.  An unreadable file,
+    malformed JSON, or a missing or mistyped field is a domain error."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as e:
+        raise ValidationError(f"{what} file {path}: {e.strerror}") from e
+    except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path}: malformed JSON ({e})") from e
+    try:
+        return build(d)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(
+            f"{path}: malformed {what} ({type(e).__name__}: {e})") from e
+
+
 def parse_channel(path: str) -> Channel3:
     """Load and validate a channel JSON file with a precise diagnostic."""
-    if not os.path.exists(path):
-        raise ValidationError(f"channel file not found: {path}")
-    return Channel3.from_json(path)
+    return _load(path, "channel", Channel3.from_dict)
 
 
 def parse_aux(path: str) -> AuxJoint:
-    if not os.path.exists(path):
-        raise ValidationError(f"aux file not found: {path}")
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{path}: malformed JSON ({e})") from e
-    return AuxJoint.from_dict(d)
+    return _load(path, "aux", AuxJoint.from_dict)
 
 
-def load_ordering_report(path: str) -> OrderingReport:
-    with open(path) as fh:
-        d = json.load(fh)
+def _report_from_dict(d: dict) -> OrderingReport:
     verdicts = {"true": True, "false": False, "indeterminate": None}
     return OrderingReport(
-        predicate=d["predicate"], pair=tuple(d["pair"]),
-        verdict=verdicts[d["verdict"]], gap=d["gap_bits"],
+        predicate=d["predicate"], pair=tuple(int(v) for v in d["pair"]),
+        verdict=verdicts[d["verdict"]], gap=float(d["gap_bits"]),
         witness=np.asarray(d["witness"]) if d.get("witness") is not None
         else None,
         restarts=d.get("restarts", 0),
         grid_resolution=d.get("grid_resolution", 0),
         note=d.get("note", ""))
+
+
+def load_ordering_report(path: str) -> OrderingReport:
+    return _load(path, "ordering report", _report_from_dict)
 
 
 def _json_dump(obj: dict) -> str:
@@ -144,13 +154,6 @@ class _Emitter:
         else:
             sys.stdout.write(buf.getvalue())
             sys.stderr.write(_json_dump(self.manifest.to_dict()))
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("BCSL_THREADS")
-    return int(env) if env else 1
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -257,12 +260,13 @@ def cmd_fme_appendix(args) -> int:
 
 
 def _load_config(path: str) -> CodeConfig:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{path}: malformed JSON ({e})") from e
-    return CodeConfig.from_dict(d)
+    return _load(path, "code config", CodeConfig.from_dict)
+
+
+def _grid_from_list(grid) -> list[CodeConfig]:
+    if not isinstance(grid, list):
+        raise ValidationError("grid file must hold a JSON list of configs")
+    return [CodeConfig.from_dict(d) for d in grid]
 
 
 def cmd_sim_run(args) -> int:
@@ -270,8 +274,7 @@ def cmd_sim_run(args) -> int:
     aux = parse_aux(args.aux)
     cfg = _load_config(args.config)
     em = _Emitter(args, "sim run", [args.channel, args.aux, args.config])
-    rep = simulate(cfg, aux, ch, args.trials, args.seed,
-                   threads=_threads(args))
+    rep = simulate(cfg, aux, ch, args.trials, args.seed)
     payload = rep.to_dict()
     # wall-clock is volatile; keep it out of the primary output
     em.manifest.extras["wall_seconds"] = payload.pop("wall_seconds")
@@ -297,12 +300,12 @@ def cmd_sim_equivocation(args) -> int:
 def cmd_sim_study(args) -> int:
     ch = parse_channel(args.channel)
     aux = parse_aux(args.aux)
-    with open(args.grid) as fh:
-        grid = json.load(fh)
-    if not isinstance(grid, list):
-        raise ValidationError("grid file must hold a JSON list of configs")
-    cfgs = [CodeConfig.from_dict(d) for d in grid]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    cfgs = _load(args.grid, "grid", _grid_from_list)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError as e:
+        raise UsageError(f"--seeds expects comma integers, got {args.seeds!r}"
+                         ) from e
     em = _Emitter(args, "sim study", [args.channel, args.aux, args.grid])
     rows = secrecy_gap_study(cfgs, aux, ch, seeds)
     header = list(rows[0].keys()) if rows else []
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--restarts", type=int, default=32)
     po.add_argument("--seed", type=int)
     po.add_argument("--out")
-    po.set_defaults(func=cmd_orderings, stochastic_predicates=True)
+    po.set_defaults(func=cmd_orderings)
 
     pr = sub.add_parser("regions", help="bound evaluation and frontier")
     rsub = pr.add_subparsers(dest="subcommand", required=True)
@@ -384,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
         sr.add_argument(flag, required=True)
     sr.add_argument("--trials", type=int, required=True)
     sr.add_argument("--seed", type=int)
-    sr.add_argument("--threads", type=int)
+    sr.add_argument("--threads", type=int,
+                    help="accepted for compatibility; runs are "
+                         "single-threaded and results do not depend on it")
     sr.add_argument("--out")
     sr.set_defaults(func=cmd_sim_run)
     se = ssub.add_parser("equivocation")
@@ -421,6 +426,8 @@ def dispatch(argv: list[str] | None = None) -> int:
                 and args.seed is None):
             raise UsageError(
                 f"predicate {args.predicate} is stochastic: --seed is required")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError("--seed must be a nonnegative integer")
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

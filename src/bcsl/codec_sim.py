@@ -15,14 +15,16 @@ streams derived from one master seed.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel_core import Channel3, JointPmf, conditional_mi, induced_joint, tensor_entropy
+from .channel_core import Channel3, conditional_mi, induced_joint, tensor_entropy
 from .errors import (CapabilityError, ConfigError, EncodingError,
                      GenerationError, UsageError, ValidationError)
 from .regions import AuxJoint
@@ -40,7 +42,15 @@ _STREAM_TRIAL = 2
 
 def message_size(n: int, rate: float) -> int:
     """Number of indices carried by a per-use rate at blocklength n."""
-    return max(1, round(2.0 ** (n * rate)))
+    try:
+        return max(1, round(2.0 ** (n * rate)))
+    except OverflowError as e:
+        raise CapabilityError(
+            f"rate {rate} at blocklength {n} needs 2^{n * rate} indices") from e
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -68,14 +78,17 @@ class CodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("blocklength must be >= 1")
-        if not 0 < self.eps:
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValidationError("blocklength must be an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
+        if not (_finite(self.eps) and self.eps > 0):
             raise ValidationError("typicality slack must be positive")
         for name in ("r0", "r1e", "r1p", "r1dag", "q2", "q3", "p3",
                      "p3dag", "p1e", "p1p"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"rate {name} is negative")
+            v = getattr(self, name)
+            if not (_finite(v) and v >= 0):
+                raise ValidationError(f"rate {name} is negative or not finite")
 
     # message/bank sizes ---------------------------------------------------
     @property
@@ -192,6 +205,17 @@ def _conditional(joint: np.ndarray) -> np.ndarray:
 # codebook
 
 
+class DecodeTables(NamedTuple):
+    """Candidate rows of the three receivers' typicality scans."""
+
+    rx1_rows: np.ndarray    # (u1,u2,u3,x)-combined index rows
+    rx1_cands: list[tuple[int, int, int, int]]   # (w0, w1, p3, p1) per row
+    rx2_rows: np.ndarray    # u2 bank, flattened over (w0, q2)
+    rx2_w0: np.ndarray      # cloud index per rx2 row
+    rx3_rows: np.ndarray    # u3 bank, flattened over (w0, q3)
+    rx3_w0: np.ndarray
+
+
 @dataclass
 class Codebook:
     cfg: CodeConfig
@@ -232,6 +256,19 @@ class Codebook:
 
     def join_w2(self, p1: int, p3: int) -> int:
         return p1 * self.sizes["p3"] + p3
+
+    @functools.cached_property
+    def decode_tables(self) -> DecodeTables:
+        """Built on first decode, so codebooks only used for exact
+        equivocation never pay for them."""
+        s = self.sizes
+        rx1_rows, rx1_cands = _rx1_tables(self)
+        return DecodeTables(
+            rx1_rows, rx1_cands,
+            self.u2.reshape(-1, self.cfg.n),
+            np.repeat(np.arange(s["r0"]), s["q2_bank"]),
+            self.u3.reshape(-1, self.cfg.n),
+            np.repeat(np.arange(s["r0"]), s["q3_bank"]))
 
 
 def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
@@ -401,16 +438,6 @@ def _rx1_tables(cb: Codebook) -> tuple[np.ndarray, list[tuple[int, int, int, int
     return np.asarray(rows), cands
 
 
-def _ensure_decode_tables(cb: Codebook) -> None:
-    if getattr(cb, "_rx1_rows", None) is None:
-        cb._rx1_rows, cb._rx1_cands = _rx1_tables(cb)
-        s = cb.sizes
-        cb._rx2_rows = cb.u2.reshape(-1, cb.cfg.n)
-        cb._rx2_w0 = np.repeat(np.arange(s["r0"]), s["q2_bank"])
-        cb._rx3_rows = cb.u3.reshape(-1, cb.cfg.n)
-        cb._rx3_w0 = np.repeat(np.arange(s["r0"]), s["q3_bank"])
-
-
 def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
                ) -> DecodeResult:
     """Run all three decoding rules on one received block.
@@ -420,7 +447,7 @@ def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
     and receiver 2 then decodes its message within the identified cloud.
     Ambiguity or absence at any stage is a declared error (None).
     """
-    _ensure_decode_tables(cb)
+    t = cb.decode_tables
     cfg, s = cb.cfg, cb.sizes
     n, eps = cfg.n, cfg.eps
     ny1, ny2, ny3 = cb.ch.ny1, cb.ch.ny2, cb.ch.ny3
@@ -432,18 +459,17 @@ def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
             raise UsageError("received sequence has wrong length or symbols")
 
     # receiver 1: direct joint-typicality scan
-    ok1 = batch_typical(cb._rx1_rows * ny1 + y1, n, cb.pmf_rx1, eps)
-    hits1 = {cb._rx1_cands[i] for i in np.flatnonzero(ok1)}
-    keys1 = {(w0, w1, p3, p1) for w0, w1, p3, p1 in hits1}
-    if len(keys1) == 1:
-        w0, w1, p3, p1 = next(iter(keys1))
+    ok1 = batch_typical(t.rx1_rows * ny1 + y1, n, cb.pmf_rx1, eps)
+    hits1 = {t.rx1_cands[i] for i in np.flatnonzero(ok1)}
+    if len(hits1) == 1:
+        w0, w1, p3, p1 = next(iter(hits1))
         rx1 = (w0, w1, cb.join_w2(p1, p3))
     else:
         rx1 = None
 
     # receiver 2: indirect cloud decoding through the u2 bank
-    ok2 = batch_typical(cb._rx2_rows * ny2 + y2, n, cb.pmf_u2y2, eps)
-    w0_set = set(cb._rx2_w0[np.flatnonzero(ok2)].tolist())
+    ok2 = batch_typical(t.rx2_rows * ny2 + y2, n, cb.pmf_u2y2, eps)
+    w0_set = set(t.rx2_w0[np.flatnonzero(ok2)].tolist())
     if len(w0_set) != 1:
         rx2 = None
     else:
@@ -456,8 +482,8 @@ def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
         rx2 = (w0, next(iter(w1_set)) if len(w1_set) == 1 else None)
 
     # receiver 3: indirect cloud decoding through the u3 bank
-    ok3 = batch_typical(cb._rx3_rows * ny3 + y3, n, cb.pmf_u3y3, eps)
-    w0_set3 = set(cb._rx3_w0[np.flatnonzero(ok3)].tolist())
+    ok3 = batch_typical(t.rx3_rows * ny3 + y3, n, cb.pmf_u3y3, eps)
+    w0_set3 = set(t.rx3_w0[np.flatnonzero(ok3)].tolist())
     rx3 = next(iter(w0_set3)) if len(w0_set3) == 1 else None
 
     return DecodeResult(rx1, rx2, rx3)
@@ -541,24 +567,15 @@ def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
              ) -> SimReport:
     """Monte Carlo block-error estimation.
 
-    Per-trial randomness is counter-based on (seed, trial), so the report is
-    bitwise independent of `threads` and of trial execution order.
+    Per-trial randomness is counter-based on (seed, trial), so the report
+    does not depend on the thread count or the trial order.  Trials run in
+    one thread, since they are bound by the interpreter lock; `threads` is
+    accepted for compatibility and ignored.
     """
     t0 = time.time()
     cb = codebook if codebook is not None else build_codebook(cfg, aux, ch)
-    _ensure_decode_tables(cb)
     flat_ch = cb.ch.p.reshape(cb.ch.nx, -1)
-    results = [None] * trials
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, res in enumerate(pool.map(
-                    lambda t: _run_trial(cb, flat_ch, t, seed),
-                    range(trials))):
-                results[t] = res
-    else:
-        for t in range(trials):
-            results[t] = _run_trial(cb, flat_ch, t, seed)
+    results = [_run_trial(cb, flat_ch, t, seed) for t in range(trials)]
     e1 = sum(r[0] for r in results)
     e2 = sum(r[1] for r in results)
     e3 = sum(r[2] for r in results)

@@ -11,11 +11,11 @@ its target row identically, not approximately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .system import Ineq, IneqSystem, is_constant_symbol
+from .system import Ineq, IneqSystem
 
 ZERO = Fraction(0)
 

@@ -15,7 +15,7 @@ expand to two opposite rows sharing a tag suffix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -25,15 +25,6 @@ from ..errors import UsageError, ValidationError
 def is_constant_symbol(name: str) -> bool:
     """Information constants are written as I(...) expressions."""
     return name.startswith("I(")
-
-
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-
-    @property
-    def kind(self) -> str:
-        return "mi-constant" if is_constant_symbol(self.name) else "rate-variable"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ between) to avoid flaky boundary verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -1,10 +1,10 @@
 """Numeric evaluation of the rate-equivocation bounds on concrete channels.
 
-Each bound is a list of inequality templates over the rate symbols
-(R0, R1, R1e, R2, R2e); right-hand sides are signed sums of mutual
-information constants named in the same "I(A;B|C)" syntax used by the
-symbolic toolkit, instantiated from the joint distribution induced by an
-auxiliary input pmf and the channel.
+Each bound is a list of inequalities over the rate symbols
+(R0, R1, R1e, R2, R2e), read from the fixture files of the symbolic toolkit
+(``bcsl/fme/fixtures``).  Right-hand sides are signed sums of mutual
+information constants named "I(A;B|C)", instantiated from the joint
+distribution induced by an auxiliary input pmf and the channel.
 
 Outer bounds are conditioned on channel orderings; evaluation at a single
 auxiliary is a single certificate point, never the region itself.
@@ -12,8 +12,10 @@ auxiliary is a single certificate point, never the region itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ from scipy.optimize import linprog
 
 from .channel_core import Channel3, JointPmf, NORM_TOL, conditional_mi, induced_joint
 from .errors import PreconditionError, UsageError, ValidationError
+from .fme import is_constant_symbol, load_fixture
 from .orderings import OrderingReport
 
 MARKOV_TOL = 1e-9
@@ -185,10 +188,6 @@ def check_markov(aux: AuxJoint) -> list[tuple[str, float]]:
             for chain, a, b, c in MARKOV_CHAINS]
 
 
-def markov_ok(aux: AuxJoint, tol: float = MARKOV_TOL) -> bool:
-    return all(res <= tol for _, res in check_markov(aux))
-
-
 # --------------------------------------------------------------------------
 # rate tuples and polytopes
 
@@ -225,10 +224,6 @@ class PolytopeRow:
     coeffs: tuple[tuple[str, float], ...]   # (rate symbol, coefficient)
     rhs: float                              # bits
 
-    def lhs_at(self, r: RateTuple) -> float:
-        d = r.as_dict()
-        return sum(c * d[s] for s, c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class SideCondition:
@@ -248,14 +243,6 @@ class RatePolytope:
     side_conditions: tuple[SideCondition, ...] = ()
     free_symbols: tuple[str, ...] = RATE_SYMBOLS  # rates not pinned to zero
     notes: tuple[str, ...] = ()
-
-    def contains(self, r: RateTuple, tol: float = 1e-9) -> bool:
-        if any(not sc.satisfied for sc in self.side_conditions):
-            return False
-        pinned = set(RATE_SYMBOLS) - set(self.free_symbols)
-        if any(abs(r.as_dict()[s]) > tol for s in pinned):
-            return False
-        return all(row.lhs_at(r) <= row.rhs + tol for row in self.rows)
 
     def row(self, tag: str) -> PolytopeRow:
         for r in self.rows:
@@ -289,134 +276,65 @@ class BoundId(Enum):
     REGION_TYPE2 = "region_type2"
 
 
-# Row templates: (tag, {rate: coeff}, [(sign, const name), ...])
-_R = dict
-
-_INNER_3DM_ROWS = [
-    ("r1e_le_r1", _R(R1e=1, R1=-1), []),
-    ("r2e_le_r2", _R(R2e=1, R2=-1), []),
-    ("common", _R(R0=1), [(+1, "I(U3;Y3)")]),
-    ("r1e_via_y2", _R(R1e=1), [(+1, "I(U2;Y2|U1)"), (-1, "I(U2;Y3|U1)")]),
-    ("r1e_via_y1", _R(R1e=1),
-     [(+1, "I(X;Y1|U3)"), (-1, "I(U2;Y3|U1)"), (-1, "I(X;Y3|U2)")]),
-    ("r2e_cap", _R(R2e=1), [(+1, "I(X;Y1|U2)"), (-1, "I(X;Y3|U2)")]),
-    ("joint_secrecy", _R(R1e=1, R2e=1),
-     [(+1, "I(X;Y1|U1)"), (-1, "I(U2;Y3|U1)"), (-1, "I(X;Y3|U2)")]),
-    ("sum01_a", _R(R0=1, R1=1), [(+1, "I(U2;Y2)")]),
-    ("sum01_b", _R(R0=1, R1=1),
-     [(+1, "I(U3;Y3)"), (+1, "I(U2;Y2|U1)"), (-1, "I(U2;U3|U1)")]),
-    ("sum001", _R(R0=2, R1=1),
-     [(+1, "I(U3;Y3)"), (+1, "I(U2;Y2)"), (-1, "I(U2;U3|U1)")]),
-    ("sum02", _R(R0=1, R2=1), [(+1, "I(U3;Y3)"), (+1, "I(X;Y1|U2,U3)")]),
-    ("sum012_a", _R(R0=1, R1=1, R2=1), [(+1, "I(U3;Y3)"), (+1, "I(X;Y1|U3)")]),
-    ("sum012_b", _R(R0=1, R1=1, R2=1), [(+1, "I(X;Y1)")]),
-    ("sum012_c", _R(R0=1, R1=1, R2=1),
-     [(+1, "I(U3;Y3)"), (+1, "I(U2;Y2|U1)"), (-1, "I(U2;U3|U1)"),
-      (+1, "I(X;Y1|U2,U3)")]),
-    ("sum0012", _R(R0=2, R1=1, R2=1),
-     [(+1, "I(U3;Y3)"), (+1, "I(U2;Y2)"), (-1, "I(U2;U3|U1)"),
-      (+1, "I(X;Y1|U2,U3)")]),
-    ("sum0112", _R(R0=1, R1=2, R2=1),
-     [(+1, "I(U3;Y3)"), (+1, "I(U2;Y2|U1)"), (-1, "I(U2;U3|U1)"),
-      (+1, "I(X;Y1|U3)")]),
-    ("sum00112", _R(R0=2, R1=2, R2=1),
-     [(+1, "I(U3;Y3)"), (+1, "I(U2;Y2)"), (-1, "I(U2;U3|U1)"),
-      (+1, "I(X;Y1|U3)")]),
-]
-
-_INNER_3DM_CONDITIONS = [
-    ("secure_x_layer", [(+1, "I(X;Y3|U2)")], [(+1, "I(X;Y1|U2,U3)")]),
-]
-
-_OUTER_3DM_ROWS = [
-    ("r1e_le_r1", _R(R1e=1, R1=-1), []),
-    ("r2e_le_r2", _R(R2e=1, R2=-1), []),
-    ("common_y1", _R(R0=1), [(+1, "I(U1;Y1)")]),
-    ("common_y3", _R(R0=1), [(+1, "I(U3;Y3)"), (-1, "I(U3;Y1|U1)")]),
-    ("r1e_via_y2", _R(R1e=1), [(+1, "I(U2;Y2|U1)"), (-1, "I(U2;Y3|U1)")]),
-    ("r1e_via_y1", _R(R1e=1), [(+1, "I(X;Y1|U3)"), (-1, "I(X;Y3|U1)")]),
-    ("r2e_cap", _R(R2e=1), [(+1, "I(X;Y1|U2)"), (-1, "I(X;Y3|U2)")]),
-    ("joint_secrecy", _R(R1e=1, R2e=1),
-     [(+1, "I(X;Y1|U1)"), (-1, "I(X;Y3|U1)")]),
-    ("sum01_a", _R(R0=1, R1=1), [(+1, "I(U2;Y1)")]),
-    ("sum01_b", _R(R0=1, R1=1), [(+1, "I(U2;Y2)")]),
-    ("sum01_c", _R(R0=1, R1=1), [(+1, "I(U1;Y1)"), (+1, "I(U2;Y2|U1)")]),
-    ("sum01_d", _R(R0=1, R1=1), [(+1, "I(U3;Y3)"), (+1, "I(U2;Y1|U1)")]),
-    ("sum01_e", _R(R0=1, R1=1), [(+1, "I(U3;Y3)"), (+1, "I(U2;Y2|U1)")]),
-    ("sum02_a", _R(R0=1, R2=1), [(+1, "I(U1;Y1)"), (+1, "I(X;Y1|U2,U3)")]),
-    ("sum02_b", _R(R0=1, R2=1), [(+1, "I(U3;Y3)"), (+1, "I(X;Y1|U2,U3)")]),
-    ("sum012_a", _R(R0=1, R1=1, R2=1), [(+1, "I(X;Y1)")]),
-    ("sum012_b", _R(R0=1, R1=1, R2=1), [(+1, "I(U3;Y3)"), (+1, "I(X;Y1|U3)")]),
-    ("sum012_c", _R(R0=1, R1=1, R2=1),
-     [(+1, "I(U1;Y1)"), (+1, "I(U2;Y2|U1)"), (+1, "I(X;Y1|U2,U3)")]),
-    ("sum012_d", _R(R0=1, R1=1, R2=1),
-     [(+1, "I(U3;Y3)"), (+1, "I(U2;Y2|U1)"), (+1, "I(X;Y1|U2,U3)")]),
-    ("sum012_e", _R(R0=1, R1=1, R2=1),
-     [(+1, "I(U2;Y2)"), (+1, "I(X;Y1|U2,U3)")]),
-]
-
-# Outer bound without secrecy rows: drop every row touching R1e or R2e.
-_SECRECY_TAGS = {"r1e_le_r1", "r2e_le_r2", "r1e_via_y2", "r1e_via_y1",
-                 "r2e_cap", "joint_secrecy"}
-_OUTER_NOSEC_ROWS = [r for r in _OUTER_3DM_ROWS if r[0] not in _SECRECY_TAGS]
-
-_INNER_TYPE1_ROWS = [
-    ("r1e_le_r1", _R(R1e=1, R1=-1), []),
-    ("common_a", _R(R0=1), [(+1, "I(U2;Y2)")]),
-    ("common_b", _R(R0=1), [(+1, "I(U3;Y3)")]),
-    ("r1e_via_full", _R(R1e=1),
-     [(+1, "I(X;Y1|U1)"), (-1, "I(U2;Y3|U1)"), (-1, "I(X;Y3|U2)")]),
-    ("r1e_via_split", _R(R1e=1),
-     [(+1, "I(X;Y1|U2)"), (+1, "I(X;Y1|U3)"), (-1, "I(X;Y3|U2)"),
-      (-1, "I(U2;Y3|U1)"), (-1, "I(X;Y3|U2)")]),
-    ("sum00", _R(R0=2),
-     [(+1, "I(U2;Y2)"), (+1, "I(U3;Y3)"), (-1, "I(U2;U3|U1)")]),
-    ("sum01_a", _R(R0=1, R1=1), [(+1, "I(X;Y1)")]),
-    ("sum01_b", _R(R0=1, R1=1), [(+1, "I(U2;Y2)"), (+1, "I(X;Y1|U2)")]),
-    ("sum01_c", _R(R0=1, R1=1), [(+1, "I(U3;Y3)"), (+1, "I(X;Y1|U3)")]),
-    ("sum001", _R(R0=2, R1=1),
-     [(+1, "I(U2;Y2)"), (+1, "I(U3;Y3)"), (-1, "I(U2;U3|U1)"),
-      (+1, "I(X;Y1|U2,U3)")]),
-    ("sum0011", _R(R0=2, R1=2),
-     [(+1, "I(U2;Y2)"), (+1, "I(X;Y1|U2)"), (+1, "I(U3;Y3)"),
-      (+1, "I(X;Y1|U3)"), (-1, "I(U2;U3|U1)")]),
-]
-
-_INNER_TYPE1_CONDITIONS = [
-    ("secure_x_layer", [(+1, "I(X;Y3|U2)")], [(+1, "I(X;Y1|U2,U3)")]),
-    ("secure_u3_route", [(+1, "I(X;Y3|U2)")], [(+1, "I(X;Y1|U2)")]),
-]
-
-_OUTER_TYPE1_ROWS = [
-    ("r1e_le_r1", _R(R1e=1, R1=-1), []),
-    ("common_y1", _R(R0=1), [(+1, "I(U1;Y1)")]),
-    ("common_y2", _R(R0=1), [(+1, "I(U2;Y2)"), (-1, "I(U2;Y1|U1)")]),
-    ("common_y3", _R(R0=1), [(+1, "I(U3;Y3)"), (-1, "I(U3;Y1|U1)")]),
-    ("r1e_cap", _R(R1e=1), [(+1, "I(X;Y1|U1)"), (-1, "I(X;Y3|U1)")]),
-    ("sum01_a", _R(R0=1, R1=1), [(+1, "I(X;Y1)")]),
-    ("sum01_b", _R(R0=1, R1=1), [(+1, "I(U2;Y2)"), (+1, "I(X;Y1|U2)")]),
-    ("sum01_c", _R(R0=1, R1=1), [(+1, "I(U3;Y3)"), (+1, "I(X;Y1|U3)")]),
-]
-
-# Single-auxiliary matched region: U1 = U3 = U, U2 = X.
-_REGION_TYPE2_ROWS = [
-    ("r1e_le_r1", _R(R1e=1, R1=-1), []),
-    ("common", _R(R0=1), [(+1, "I(U1;Y3)")]),
-    ("r1e_via_y1", _R(R1e=1), [(+1, "I(X;Y1|U1)"), (-1, "I(X;Y3|U1)")]),
-    ("r1e_via_y2", _R(R1e=1), [(+1, "I(X;Y2|U1)"), (-1, "I(X;Y3|U1)")]),
-    ("sum01_a", _R(R0=1, R1=1), [(+1, "I(X;Y1)")]),
-    ("sum01_b", _R(R0=1, R1=1), [(+1, "I(X;Y2)")]),
-]
-
-_BOUND_TABLES: dict[BoundId, tuple[list, list, tuple[str, ...]]] = {
-    BoundId.INNER_3DM: (_INNER_3DM_ROWS, _INNER_3DM_CONDITIONS, RATE_SYMBOLS),
-    BoundId.OUTER_3DM: (_OUTER_3DM_ROWS, [], RATE_SYMBOLS),
-    BoundId.OUTER_NO_SECRECY: (_OUTER_NOSEC_ROWS, [], ("R0", "R1", "R2")),
-    BoundId.INNER_TYPE1: (_INNER_TYPE1_ROWS, _INNER_TYPE1_CONDITIONS,
-                          ("R0", "R1", "R1e")),
-    BoundId.OUTER_TYPE1: (_OUTER_TYPE1_ROWS, [], ("R0", "R1", "R1e")),
-    BoundId.REGION_TYPE2: (_REGION_TYPE2_ROWS, [], ("R0", "R1", "R1e")),
+# Every family's inequality list is read from the fixture that the FME
+# toolkit certifies, so the evaluated and the certified lists cannot drift
+# apart.  The outer bound without secrecy rows is the three-message outer
+# list minus every row with an R1e or R2e coefficient.
+_FIXTURES = {
+    BoundId.INNER_3DM: "inner_bound_target.txt",
+    BoundId.OUTER_3DM: "outer3dm_bound.txt",
+    BoundId.OUTER_NO_SECRECY: "outer3dm_bound.txt",
+    BoundId.INNER_TYPE1: "type1_bound_target.txt",
+    BoundId.OUTER_TYPE1: "outer_type1_bound.txt",
+    BoundId.REGION_TYPE2: "region_type2_bound.txt",
 }
+_SECRECY_RATES = ("R1e", "R2e")
+
+# signed sum of named MI constants: ((coefficient, "I(A;B|C)"), ...)
+Terms = tuple[tuple[int, str], ...]
+
+
+@dataclass(frozen=True)
+class BoundTemplate:
+    """One bound family compiled from its fixture.
+
+    rows: (tag, rate coefficients, RHS terms) per polytope row;
+    conditions: (tag, LHS terms, RHS terms) per constants-only row;
+    free_symbols: the rates the rows use (the others are pinned to zero).
+    """
+
+    rows: tuple[tuple[str, tuple[tuple[str, int], ...], Terms], ...]
+    conditions: tuple[tuple[str, Terms, Terms], ...]
+    free_symbols: tuple[str, ...]
+
+
+def _int_coeff(tag: str, sym: str, c: Fraction) -> int:
+    if c.denominator != 1:
+        raise ValidationError(
+            f"bound row {tag}: coefficient {c} of {sym} is not an integer")
+    return int(c)
+
+
+@functools.cache
+def _compile(bound: BoundId) -> BoundTemplate:
+    rows, conditions = [], []
+    for ineq in load_fixture(_FIXTURES[bound]).rows:
+        if ineq.rhs != 0:
+            raise ValidationError(
+                f"bound row {ineq.tag}: numeric constant {ineq.rhs}")
+        coeffs = [(s, _int_coeff(ineq.tag, s, c)) for s, c in ineq.coeffs]
+        rates = tuple((s, c) for s, c in coeffs if not is_constant_symbol(s))
+        consts = [(c, s) for s, c in coeffs if is_constant_symbol(s)]
+        if not rates:
+            conditions.append((ineq.tag,
+                               tuple((c, s) for c, s in consts if c > 0),
+                               tuple((-c, s) for c, s in consts if c < 0)))
+        elif not (bound is BoundId.OUTER_NO_SECRECY
+                  and any(s in _SECRECY_RATES for s, _ in rates)):
+            rows.append((ineq.tag, rates, tuple((-c, s) for c, s in consts)))
+    used = {s for _, rates, _ in rows for s, _ in rates}
+    return BoundTemplate(tuple(rows), tuple(conditions),
+                         tuple(s for s in RATE_SYMBOLS if s in used))
 
 
 # --------------------------------------------------------------------------
@@ -501,17 +419,21 @@ def eval_bound(bound: BoundId, ch: Channel3, aux: AuxJoint, *,
                                  "receiver 2 is less noisy than receiver 3",
                                  override)
 
-    mi = MITable(induced_joint(ch, aux))
-    row_templates, cond_templates, free = _BOUND_TABLES[bound]
-    rows = tuple(
-        PolytopeRow(tag, tuple(sorted(coeffs.items())),
-                    sum(s * mi(name) for s, name in terms))
-        for tag, coeffs, terms in row_templates)
-    conds = tuple(
-        SideCondition(tag, sum(s * mi(n) for s, n in lhs),
-                      sum(s * mi(n) for s, n in rhs))
-        for tag, lhs, rhs in cond_templates)
-    return RatePolytope(bound.value, rows, conds, free, tuple(notes))
+    return _instantiate(bound, MITable(induced_joint(ch, aux)), notes)
+
+
+def _instantiate(bound: BoundId, mi: MITable, notes: Sequence[str] = ()
+                 ) -> RatePolytope:
+    t = _compile(bound)
+
+    def value(terms: Terms) -> float:
+        return sum(c * mi(name) for c, name in terms)
+
+    rows = tuple(PolytopeRow(tag, rates, value(terms))
+                 for tag, rates, terms in t.rows)
+    conds = tuple(SideCondition(tag, value(lhs), value(rhs))
+                  for tag, lhs, rhs in t.conditions)
+    return RatePolytope(bound.value, rows, conds, t.free_symbols, tuple(notes))
 
 
 def type2_aux(p_ux: np.ndarray, nx: int) -> AuxJoint:
@@ -589,16 +511,9 @@ def eval_cor3_match(ch: Channel3, p_ux: np.ndarray, *,
                     "receiver 2 is less noisy than receiver 3", override)
     aux = type2_aux(p_ux, ch.nx)
     mi = MITable(induced_joint(ch, aux))
-
-    def build(templates) -> RatePolytope:
-        rows = tuple(PolytopeRow(tag, tuple(sorted(coeffs.items())),
-                                 sum(s * mi(n) for s, n in terms))
-                     for tag, coeffs, terms in templates)
-        return RatePolytope("tmp", rows)
-
-    inner = build(_INNER_3DM_ROWS)
-    outer = build(_OUTER_3DM_ROWS)
-    region = build(_REGION_TYPE2_ROWS)
+    inner = _instantiate(BoundId.INNER_3DM, mi)
+    outer = _instantiate(BoundId.OUTER_3DM, mi)
+    region = _instantiate(BoundId.REGION_TYPE2, mi)
 
     out_rows = tuple(
         Cor3MatchRow(reg_tag, region.row(reg_tag).rhs,

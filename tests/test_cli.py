@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcsl.cli import dispatch, parse_channel
 from bcsl.errors import ValidationError
@@ -155,3 +156,82 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# --------------------------------------------------------------------------
+# malformed input files never escape the exit-code contract
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+_VALID_REPORT = {"predicate": "more_capable", "pair": [1, 3],
+                 "verdict": "false", "gap_bits": 0.5, "witness": None,
+                 "restarts": 0, "grid_resolution": 0, "note": ""}
+
+
+@st.composite
+def _malformed(draw, valid: dict) -> str:
+    """Raw text, or the valid object with one key dropped or its value
+    replaced by an arbitrary JSON value."""
+    how = draw(st.sampled_from(["text", "drop", "replace"]))
+    if how == "text":
+        return draw(st.text(max_size=30))
+    d = dict(valid)
+    key = draw(st.sampled_from(sorted(d)))
+    if how == "drop":
+        del d[key]
+    else:
+        d[key] = draw(_JSON_VALUES)
+    return json.dumps(d)
+
+
+def _valid_inputs() -> dict[str, dict]:
+    aux = np.zeros((1, 2, 1, 2))
+    aux[0, 0, 0, 0] = aux[0, 1, 0, 1] = 0.5
+    return {
+        "channel": cascade_channel(0.1, 0.08, 0.08).to_dict(),
+        "aux": {"m1": 1, "m2": 2, "m3": 1, "nx": 2, "p": aux.tolist()},
+        "config": {"n": 6, "r1e": 0.1, "q2": 0.2, "eps": 0.5, "seed": 0},
+        "report": _VALID_REPORT,
+    }
+
+
+# one cheap command per input kind; {bad} is the fuzzed file
+_FUZZ_COMMANDS = {
+    "channel": ["orderings", "--channel", "{bad}", "--pair", "1,3",
+                "--predicate", "degraded"],
+    "aux": ["regions", "eval", "--bound", "inner3dm", "--channel",
+            "{channel}", "--aux", "{bad}"],
+    "config": ["sim", "equivocation", "--channel", "{channel}", "--aux",
+               "{aux}", "--config", "{bad}", "--seed", "0"],
+    "report": ["regions", "eval", "--bound", "outer3dm", "--channel",
+               "{channel}", "--aux", "{aux}", "--ordering-report", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_input_files_keep_exit_contract(kind, data, tmp_path,
+                                                  capsys):
+    valid = _valid_inputs()
+    paths = {}
+    for name, obj in valid.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(obj, fh)
+    paths["bad"] = str(tmp_path / "bad.json")
+    with open(paths["bad"], "w", encoding="utf-8") as fh:
+        fh.write(data.draw(_malformed(valid[kind])))
+    rc = dispatch([a.format(**paths) for a in _FUZZ_COMMANDS[kind]]
+                  + ["--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc:
+        assert err.startswith(("error: ", "usage error: ")), err

@@ -21,6 +21,7 @@ class TestDsl:
         "inner_bin_pairing", "inner_decoding", "inner_partition_floor",
         "inner_bound_target", "type1_bin_pairing", "type1_decoding",
         "type1_partition_floor", "type1_bound_target", "appendix_system",
+        "outer3dm_bound", "outer_type1_bound", "region_type2_bound",
     ])
     def test_fixture_roundtrip(self, name):
         s = load_fixture(name + ".txt")

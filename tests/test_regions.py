@@ -7,9 +7,10 @@ import pytest
 
 from bcsl.channel_core import conditional_mi, induced_joint
 from bcsl.errors import PreconditionError, UsageError, ValidationError
+from bcsl.fme import is_constant_symbol, load_fixture
 from bcsl.orderings import is_less_noisy, is_more_capable
 from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, RateTuple,
-                          SearchConfig, check_markov, eval_bound,
+                          SearchConfig, _FIXTURES, check_markov, eval_bound,
                           eval_cor3_match, max_weighted_rate, parse_mi_name,
                           polytope_lp)
 
@@ -73,19 +74,34 @@ class TestRateTuple:
 
 class TestEvalBound:
     def test_rhs_matches_brute_force(self, rng, cascade):
-        # every RHS equals an independent recomputation from the raw joint
+        # every row and side condition of every bound equals its fixture
+        # inequality, recomputed independently from the raw joint
         for _ in range(5):
             aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
             j = induced_joint(cascade, aux)
-            for bound in (BoundId.INNER_3DM, BoundId.OUTER_NO_SECRECY,
-                          BoundId.INNER_TYPE1):
-                pol = eval_bound(bound, cascade, aux)
-                from bcsl.regions import _BOUND_TABLES
-                templates = _BOUND_TABLES[bound][0]
-                for tag, _, terms in templates:
-                    want = sum(s * conditional_mi(j, *parse_mi_name(nm))
-                               for s, nm in terms)
-                    assert pol.row(tag).rhs == pytest.approx(want, abs=1e-10)
+
+            def consts(ineq):
+                # value of the constants moved to the left-hand side
+                return sum(float(c) * conditional_mi(j, *parse_mi_name(s))
+                           for s, c in ineq.coeffs if is_constant_symbol(s))
+
+            for bound in BoundId:
+                pol = eval_bound(bound, cascade, aux, override=True)
+                fixture = {r.tag: r
+                           for r in load_fixture(_FIXTURES[bound]).rows}
+                tags = [r.tag for r in pol.rows + pol.side_conditions]
+                assert set(tags) <= set(fixture)
+                if bound is not BoundId.OUTER_NO_SECRECY:
+                    assert tags == list(fixture)
+                for row in pol.rows:
+                    ineq = fixture[row.tag]
+                    assert dict(row.coeffs) == {
+                        s: c for s, c in ineq.coeffs
+                        if not is_constant_symbol(s)}
+                    assert row.rhs == pytest.approx(-consts(ineq), abs=1e-10)
+                for sc in pol.side_conditions:
+                    assert sc.lhs - sc.rhs == pytest.approx(
+                        consts(fixture[sc.tag]), abs=1e-10)
 
     def test_label_permutation_invariance(self, rng, cascade):
         aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
