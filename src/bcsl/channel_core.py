@@ -41,28 +41,6 @@ def _clamp(value: float, what: str) -> float:
 
 
 @dataclass(frozen=True)
-class Pmf:
-    """Probability mass function over a finite alphabet."""
-
-    probs: np.ndarray
-
-    def __init__(self, probs: Iterable[float]):
-        p = np.asarray(list(probs) if not isinstance(probs, np.ndarray) else probs,
-                       dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise ValidationError("Pmf: need a 1-D nonempty vector")
-        _check_probs(p, "Pmf")
-        if abs(p.sum() - 1.0) > NORM_TOL:
-            raise ValidationError(f"Pmf: sums to {p.sum()!r}, not 1")
-        object.__setattr__(self, "probs", p)
-        p.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return self.probs.size
-
-
-@dataclass(frozen=True)
 class JointPmf:
     """Joint pmf over named axes, stored as a dense tensor."""
 
@@ -112,11 +90,6 @@ def tensor_entropy(p: np.ndarray) -> float:
     flat = np.asarray(p, dtype=float).ravel()
     nz = flat[flat > 0]
     return _clamp(float(-(nz * np.log2(nz)).sum()), "entropy")
-
-
-def entropy(p: Pmf) -> float:
-    """H(p) in bits, with 0 log 0 = 0."""
-    return tensor_entropy(p.probs)
 
 
 def mutual_information(j: JointPmf, group_a: Sequence[str],

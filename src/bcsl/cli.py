@@ -129,29 +129,37 @@ class _Emitter:
             seed=getattr(args, "seed", None),
             started=_now())
 
-    def emit_json(self, payload: dict) -> None:
+    @staticmethod
+    def write(path: str, text: str) -> None:
+        """Write one output file; an unwritable path is a domain error."""
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValidationError(f"output file {path}: {e.strerror}") from e
+
+    def _to_out(self, text: str) -> bool:
+        """Write the primary output to --out and the manifest beside it;
+        False when there is no --out."""
         self.manifest.finished = _now()
-        if self.out:
-            with open(self.out, "w") as fh:
-                fh.write(_json_dump(payload))
-            with open(self.out + ".manifest.json", "w") as fh:
-                fh.write(_json_dump(self.manifest.to_dict()))
-        else:
+        if not self.out:
+            return False
+        self.write(self.out, text)
+        self.write(self.out + ".manifest.json",
+                   _json_dump(self.manifest.to_dict()))
+        return True
+
+    def emit_json(self, payload: dict) -> None:
+        if not self._to_out(_json_dump(payload)):
             print(_json_dump({"result": payload,
                               "manifest": self.manifest.to_dict()}), end="")
 
     def emit_csv(self, header: list[str], rows: list[list]) -> None:
-        self.manifest.finished = _now()
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
-        if self.out:
-            with open(self.out, "w") as fh:
-                fh.write(buf.getvalue())
-            with open(self.out + ".manifest.json", "w") as fh:
-                fh.write(_json_dump(self.manifest.to_dict()))
-        else:
+        if not self._to_out(buf.getvalue()):
             sys.stdout.write(buf.getvalue())
             sys.stderr.write(_json_dump(self.manifest.to_dict()))
 
@@ -231,8 +239,7 @@ def cmd_regions_frontier(args) -> int:
           *(repr(float(r[s])) for s in ("R0", "R1", "R1e", "R2", "R2e")),
           repr(float(value))]])
     sidecar = args.aux_out or ((args.out or "frontier") + ".aux.json")
-    with open(sidecar, "w") as fh:
-        fh.write(_json_dump(aux.to_dict()))
+    em.write(sidecar, _json_dump(aux.to_dict()))
     return 0
 
 

@@ -20,7 +20,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -141,10 +141,6 @@ class CodeConfig:
 # strong typicality
 
 
-def empirical_counts(idx: np.ndarray, nbins: int) -> np.ndarray:
-    return np.bincount(idx, minlength=nbins)
-
-
 def typical(counts: np.ndarray, n: int, pmf: np.ndarray, eps: float) -> bool:
     """Strong typicality: |freq - p| <= eps * p per joint symbol (so symbols
     of probability zero must not occur)."""
@@ -169,7 +165,7 @@ def _draw_iid_typical(rng: np.random.Generator, probs: np.ndarray, n: int,
                       eps: float, cap: int, what: str) -> np.ndarray:
     for _ in range(cap):
         s = rng.choice(probs.size, size=n, p=probs)
-        if typical(empirical_counts(s, probs.size), n, probs, eps):
+        if typical(np.bincount(s, minlength=probs.size), n, probs, eps):
             return s
     raise GenerationError(
         f"typicality rejection cap {cap} exceeded while sampling {what}; "
@@ -186,7 +182,8 @@ def _draw_cond_typical(rng: np.random.Generator, cond_base: np.ndarray,
     for _ in range(cap):
         s = np.array([rng.choice(k_new, p=cond[b]) for b in cond_base])
         idx = typ_base * k_new + s
-        if typical(empirical_counts(idx, joint_flat.size), n, joint_flat, eps):
+        if typical(np.bincount(idx, minlength=joint_flat.size), n,
+                   joint_flat, eps):
             return s
     raise GenerationError(
         f"typicality rejection cap {cap} exceeded while sampling {what}; "
@@ -205,19 +202,16 @@ def _conditional(joint: np.ndarray) -> np.ndarray:
 # codebook
 
 
-class DecodeTables(NamedTuple):
-    """Candidate rows of the three receivers' typicality scans."""
-
-    rx1_rows: np.ndarray    # (u1,u2,u3,x)-combined index rows
-    rx1_cands: list[tuple[int, int, int, int]]   # (w0, w1, p3, p1) per row
-    rx2_rows: np.ndarray    # u2 bank, flattened over (w0, q2)
-    rx2_w0: np.ndarray      # cloud index per rx2 row
-    rx3_rows: np.ndarray    # u3 bank, flattened over (w0, q3)
-    rx3_w0: np.ndarray
-
-
 @dataclass
 class Codebook:
+    """The layered codebook.
+
+    The C order of ``pair.shape[:-1]``, (w0, w1, w1p, p3), is the order of
+    the product bins, and ``x`` extends it by the inner cell (p1, p1p).
+    Pairing, codeword generation, receiver 1's scan and the equivocation
+    sum all walk the code in this one order.
+    """
+
     cfg: CodeConfig
     aux: AuxJoint
     ch: Channel3
@@ -232,7 +226,7 @@ class Codebook:
     pmf_u1u2y2: np.ndarray = field(repr=False, default=None)
     pmf_u3y3: np.ndarray = field(repr=False, default=None)
 
-    @property
+    @functools.cached_property
     def sizes(self) -> dict[str, int]:
         return self.cfg.sizes
 
@@ -240,12 +234,19 @@ class Codebook:
     def pairing_failure_fraction(self) -> float:
         return float(np.mean(self.pair[..., 0] < 0))
 
-    def q2_index(self, w1: int, w1p: int, w1dag: int) -> int:
+    def q2_index(self, w1, w1p, w1dag):
+        """u2 bank index; the arguments may be broadcasting arrays."""
         s = self.sizes
         return (w1 * s["r1p"] + w1p) * s["r1dag"] + w1dag
 
-    def q3_index(self, p3: int, p3dag: int) -> int:
+    def q3_index(self, p3, p3dag):
         return p3 * self.sizes["p3dag"] + p3dag
+
+    def triple_rows(self, w0, q2, q3) -> np.ndarray:
+        """(u1,u2,u3)-combined symbol rows of cloud w0 and bank entries q2,
+        q3; the arguments broadcast, and the rows run along the last axis."""
+        m2, m3 = self.aux.m2, self.aux.m3
+        return (self.u1[w0] * m2 + self.u2[w0, q2]) * m3 + self.u3[w0, q3]
 
     def split_w2(self, w2: int) -> tuple[int, int]:
         """w2 -> (p1, p3) by mixed radix."""
@@ -254,21 +255,37 @@ class Codebook:
             raise UsageError(f"w2 index {w2} out of range {s['w2']}")
         return w2 // s["p3"], w2 % s["p3"]
 
-    def join_w2(self, p1: int, p3: int) -> int:
+    def join_w2(self, p1, p3):
         return p1 * self.sizes["p3"] + p3
 
+    @property
+    def live(self) -> np.ndarray:
+        """Mask over ``x.shape[:-1]``: the codewords of paired bins."""
+        return np.broadcast_to(self.pair[..., :1, None] >= 0,
+                               self.x.shape[:-1])
+
     @functools.cached_property
-    def decode_tables(self) -> DecodeTables:
-        """Built on first decode, so codebooks only used for exact
-        equivocation never pay for them."""
-        s = self.sizes
-        rx1_rows, rx1_cands = _rx1_tables(self)
-        return DecodeTables(
-            rx1_rows, rx1_cands,
-            self.u2.reshape(-1, self.cfg.n),
-            np.repeat(np.arange(s["r0"]), s["q2_bank"]),
-            self.u3.reshape(-1, self.cfg.n),
-            np.repeat(np.arange(s["r0"]), s["q3_bank"]))
+    def bin_rows(self) -> np.ndarray:
+        """(u1,u2,u3)-combined rows of each product bin's selected satellite
+        pair, shaped (w0, w1, w1p, p3, n); -1 on unpaired bins.  Read only
+        once the pairing is final."""
+        rows = np.full(self.pair.shape[:-1] + (self.cfg.n,), -1,
+                       dtype=np.int64)
+        b = np.nonzero(self.pair[..., 0] >= 0)
+        w1dag, p3dag = self.pair[b].T
+        rows[b] = self.triple_rows(b[0], self.q2_index(b[1], b[2], w1dag),
+                                   self.q3_index(b[3], p3dag))
+        return rows
+
+    @functools.cached_property
+    def rx1_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Receiver 1's candidate rows, (u1,u2,u3,x)-combined, and their
+        (w0, w1, w2) labels.  Built on first decode, so codebooks only used
+        for exact equivocation never pay for it."""
+        idx = np.nonzero(self.live)
+        w0, w1, _, p3, p1, _ = idx
+        rows = self.bin_rows[idx[:4]] * self.aux.nx + self.x[idx]
+        return rows, np.stack([w0, w1, self.join_w2(p1, p3)], axis=1)
 
 
 def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
@@ -286,10 +303,10 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
     cfg.validate_against(aux)
     s = cfg.sizes
     n, eps = cfg.n, cfg.eps
-    m1, m2, m3, nx = aux.m1, aux.m2, aux.m3, aux.nx
+    m2, m3, nx = aux.m2, aux.m3, aux.nx
 
-    total = (s["r0"] * s["r1e"] * s["r1p"] * s["p3"] * s["p1e"] * s["p1p"]
-             * n)
+    bins = (s["r0"], s["r1e"], s["r1p"], s["p3"])
+    total = math.prod(bins) * s["p1e"] * s["p1p"] * n
     if total > codeword_cap:
         raise CapabilityError(
             f"codebook needs {total} stored symbols > cap {codeword_cap}; "
@@ -323,58 +340,38 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
                                             p_u1u3.ravel(), n, eps,
                                             retry_cap, "p(u3|u1)")
 
-    # Marton pairing: first jointly typical (w1dag, p3dag) per product bin
-    pair = np.full((nw0, s["r1e"], s["r1p"], s["p3"], 2), -1, dtype=np.int64)
-    flat_triple = p_u1u2u3.ravel()
-    for w0 in range(nw0):
-        for w1 in range(s["r1e"]):
-            for w1p in range(s["r1p"]):
-                for p3 in range(s["p3"]):
-                    found = False
-                    for w1dag in range(s["r1dag"]):
-                        if found:
-                            break
-                        q2 = (w1 * s["r1p"] + w1p) * s["r1dag"] + w1dag
-                        for p3dag in range(s["p3dag"]):
-                            q3 = p3 * s["p3dag"] + p3dag
-                            idx = ((u1[w0] * m2 + u2[w0, q2]) * m3
-                                   + u3[w0, q3])
-                            if typical(empirical_counts(idx, flat_triple.size),
-                                       n, flat_triple, eps):
-                                pair[w0, w1, w1p, p3] = (w1dag, p3dag)
-                                found = True
-                                break
-
-    x = np.full((nw0, s["r1e"], s["r1p"], s["p3"], s["p1e"], s["p1p"], n),
-                -1, dtype=np.int64)
-    flat_full = p_full.ravel()
-    for w0 in range(nw0):
-        for w1 in range(s["r1e"]):
-            for w1p in range(s["r1p"]):
-                for p3 in range(s["p3"]):
-                    w1dag, p3dag = pair[w0, w1, w1p, p3]
-                    if w1dag < 0:
-                        continue
-                    q2 = (w1 * s["r1p"] + w1p) * s["r1dag"] + w1dag
-                    q3 = p3 * s["p3dag"] + p3dag
-                    base = u2[w0, q2] * m3 + u3[w0, q3]
-                    joint_base = (u1[w0] * m2 + u2[w0, q2]) * m3 + u3[w0, q3]
-                    for p1 in range(s["p1e"]):
-                        for p1p in range(s["p1p"]):
-                            # draw conditioned on (u2,u3) but test joint
-                            # typicality of the full (u1,u2,u3,x) tuple
-                            x[w0, w1, w1p, p3, p1, p1p] = _draw_cond_typical(
-                                rng, base, cond_x, joint_base, flat_full,
-                                n, eps, retry_cap, "p(x|u2,u3)")
-
+    # pair and x are filled in place below
     j = induced_joint(ch, aux)
     cb = Codebook(
-        cfg, aux, ch, u1, u2, u3, pair, x,
+        cfg, aux, ch, u1, u2, u3,
+        np.full(bins + (2,), -1, dtype=np.int64),
+        np.full(bins + (s["p1e"], s["p1p"], n), -1, dtype=np.int64),
         pmf_rx1=j.marginal(["U1", "U2", "U3", "X", "Y1"]).probs.ravel(),
         pmf_u2y2=j.marginal(["U2", "Y2"]).probs.ravel(),
         pmf_u1u2y2=j.marginal(["U1", "U2", "Y2"]).probs.ravel(),
         pmf_u3y3=j.marginal(["U3", "Y3"]).probs.ravel(),
     )
+
+    # Marton pairing: the first jointly typical candidate per product bin,
+    # candidates taken in C (lexicographic) order
+    cands = (s["r1dag"], s["p3dag"])
+    w1dag, p3dag = np.indices(cands)
+    flat_triple = p_u1u2u3.ravel()
+    for w0, w1, w1p, p3 in np.ndindex(bins):
+        rows = cb.triple_rows(w0, cb.q2_index(w1, w1p, w1dag),
+                              cb.q3_index(p3, p3dag))
+        ok = batch_typical(rows.reshape(-1, n), n, flat_triple, eps)
+        if ok.any():
+            cb.pair[w0, w1, w1p, p3] = np.unravel_index(ok.argmax(), cands)
+
+    flat_full = p_full.ravel()
+    for idx in zip(*np.nonzero(cb.live)):
+        joint_base = cb.bin_rows[idx[:4]]
+        # draw conditioned on (u2,u3), the low digits of the triple, but
+        # test joint typicality of the full (u1,u2,u3,x) tuple
+        cb.x[idx] = _draw_cond_typical(
+            rng, joint_base % (m2 * m3), cond_x, joint_base, flat_full,
+            n, eps, retry_cap, "p(x|u2,u3)")
     return cb
 
 
@@ -414,28 +411,17 @@ class DecodeResult:
     rx3: int | None                     # w0
 
 
-def _rx1_tables(cb: Codebook) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
-    """Candidate (u1,u2,u3,x)-combined index rows for receiver 1's scan."""
-    s = cb.sizes
-    m2, m3, nx = cb.aux.m2, cb.aux.m3, cb.aux.nx
-    rows, cands = [], []
-    for w0 in range(s["r0"]):
-        for w1 in range(s["r1e"]):
-            for w1p in range(s["r1p"]):
-                for p3 in range(s["p3"]):
-                    w1dag, p3dag = cb.pair[w0, w1, w1p, p3]
-                    if w1dag < 0:
-                        continue
-                    q2 = cb.q2_index(w1, w1p, w1dag)
-                    q3 = cb.q3_index(p3, p3dag)
-                    base = ((cb.u1[w0] * m2 + cb.u2[w0, q2]) * m3
-                            + cb.u3[w0, q3])
-                    for p1 in range(s["p1e"]):
-                        for p1p in range(s["p1p"]):
-                            rows.append(base * nx
-                                        + cb.x[w0, w1, w1p, p3, p1, p1p])
-                            cands.append((w0, w1, p3, p1))
-    return np.asarray(rows), cands
+def _sole(labels: np.ndarray):
+    """The label every hit carries, or None when there is no hit or the
+    hits disagree."""
+    if len(labels) and (labels == labels[0]).all():
+        return labels[0].tolist()
+    return None
+
+
+def _lead(ok: np.ndarray, size: int) -> np.ndarray:
+    """Leading index of each hit of a C-ordered mask over (size, ...)."""
+    return np.nonzero(ok.reshape(size, -1))[0]
 
 
 def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
@@ -447,7 +433,6 @@ def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
     and receiver 2 then decodes its message within the identified cloud.
     Ambiguity or absence at any stage is a declared error (None).
     """
-    t = cb.decode_tables
     cfg, s = cb.cfg, cb.sizes
     n, eps = cfg.n, cfg.eps
     ny1, ny2, ny3 = cb.ch.ny1, cb.ch.ny2, cb.ch.ny3
@@ -459,32 +444,24 @@ def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
             raise UsageError("received sequence has wrong length or symbols")
 
     # receiver 1: direct joint-typicality scan
-    ok1 = batch_typical(t.rx1_rows * ny1 + y1, n, cb.pmf_rx1, eps)
-    hits1 = {t.rx1_cands[i] for i in np.flatnonzero(ok1)}
-    if len(hits1) == 1:
-        w0, w1, p3, p1 = next(iter(hits1))
-        rx1 = (w0, w1, cb.join_w2(p1, p3))
-    else:
-        rx1 = None
+    rows1, labels1 = cb.rx1_table
+    ok1 = batch_typical(rows1 * ny1 + y1, n, cb.pmf_rx1, eps)
+    hit1 = _sole(labels1[ok1])
+    rx1 = None if hit1 is None else tuple(hit1)
 
     # receiver 2: indirect cloud decoding through the u2 bank
-    ok2 = batch_typical(t.rx2_rows * ny2 + y2, n, cb.pmf_u2y2, eps)
-    w0_set = set(t.rx2_w0[np.flatnonzero(ok2)].tolist())
-    if len(w0_set) != 1:
+    ok2 = batch_typical(cb.u2.reshape(-1, n) * ny2 + y2, n, cb.pmf_u2y2, eps)
+    w0 = _sole(_lead(ok2, s["r0"]))
+    if w0 is None:
         rx2 = None
     else:
-        w0 = next(iter(w0_set))
-        m2 = cb.aux.m2
-        rows = (cb.u1[w0][None, :] * m2 + cb.u2[w0]) * ny2 + y2
+        rows = (cb.u1[w0][None, :] * cb.aux.m2 + cb.u2[w0]) * ny2 + y2
         okb = batch_typical(rows, n, cb.pmf_u1u2y2, eps)
-        w1_set = {int(q2) // (s["r1p"] * s["r1dag"])
-                  for q2 in np.flatnonzero(okb)}
-        rx2 = (w0, next(iter(w1_set)) if len(w1_set) == 1 else None)
+        rx2 = (w0, _sole(_lead(okb, s["r1e"])))
 
     # receiver 3: indirect cloud decoding through the u3 bank
-    ok3 = batch_typical(t.rx3_rows * ny3 + y3, n, cb.pmf_u3y3, eps)
-    w0_set3 = set(t.rx3_w0[np.flatnonzero(ok3)].tolist())
-    rx3 = next(iter(w0_set3)) if len(w0_set3) == 1 else None
+    ok3 = batch_typical(cb.u3.reshape(-1, n) * ny3 + y3, n, cb.pmf_u3y3, eps)
+    rx3 = _sole(_lead(ok3, s["r0"]))
 
     return DecodeResult(rx1, rx2, rx3)
 
@@ -572,6 +549,8 @@ def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
     one thread, since they are bound by the interpreter lock; `threads` is
     accepted for compatibility and ignored.
     """
+    if trials < 1:
+        raise UsageError(f"trials must be at least 1, got {trials}")
     t0 = time.time()
     cb = codebook if codebook is not None else build_codebook(cfg, aux, ch)
     flat_ch = cb.ch.p.reshape(cb.ch.nx, -1)
@@ -640,22 +619,13 @@ def exact_equivocation(cb: Codebook, *, enum_cap: int = DEFAULT_ENUM_CAP
             "codebook has unpaired product bins; exact equivocation needs a "
             "fully paired codebook")
     ch3 = cb.ch.marginal_to(3)          # (nx, ny3)
-    nw1, np1, np3 = s["r1e"], s["p1e"], s["p3"]
-    nw2 = np1 * np3
+    nw1, nw2 = s["r1e"], s["w2"]
     table = np.zeros((nw1, nw2, ny3 ** n))
-    weight = 1.0 / (s["r0"] * nw1 * s["r1p"] * np3 * np1 * s["p1p"])
-    for w0 in range(s["r0"]):
-        for w1 in range(nw1):
-            for w1p in range(s["r1p"]):
-                for p3 in range(np3):
-                    for p1 in range(np1):
-                        w2 = p1 * np3 + p3
-                        for p1p in range(s["p1p"]):
-                            xs = cb.x[w0, w1, w1p, p3, p1, p1p]
-                            lik = np.array([1.0])
-                            for xi in xs:
-                                lik = np.kron(lik, ch3[xi])
-                            table[w1, w2] += weight * lik
+    weight = 1.0 / math.prod(cb.x.shape[:-1])
+    for idx in np.ndindex(cb.x.shape[:-1]):
+        # p(y3^n | x^n) over all y3^n, in the C order of (y3_1, ..., y3_n)
+        lik = functools.reduce(np.multiply.outer, ch3[cb.x[idx]]).ravel()
+        table[idx[1], cb.join_w2(idx[4], idx[3])] += weight * lik
     h_y3 = tensor_entropy(table.sum(axis=(0, 1)))
     h_w1y3 = tensor_entropy(table.sum(axis=1))
     h_w2y3 = tensor_entropy(table.sum(axis=0))

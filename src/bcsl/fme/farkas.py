@@ -156,15 +156,15 @@ def remove_redundant(system: IneqSystem,
                      nonneg_vars: Sequence[str] = ()) -> IneqSystem:
     """Drop rows implied by the remaining rows plus constant nonnegativity."""
     rows = list(system.dedupe().drop_trivial().rows)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            others = IneqSystem(tuple(rows[:i] + rows[i + 1:]))
-            if certify(others, rows[i], nonneg_vars=nonneg_vars) is not None:
-                del rows[i]
-                changed = True
-                break
+    i = 0
+    while i < len(rows):
+        others = IneqSystem(tuple(rows[:i] + rows[i + 1:]))
+        if certify(others, rows[i], nonneg_vars=nonneg_vars) is not None:
+            del rows[i]
+        else:
+            # a row no superset implies stays unimplied as rows go, so one
+            # sweep reaches the same rows as restarting after each deletion
+            i += 1
     return IneqSystem(tuple(rows))
 
 

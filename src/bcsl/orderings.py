@@ -201,7 +201,8 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
     """Is receiver a more capable than b: I(X;Y_a) >= I(X;Y_b) for all p(x)?
 
     Maximizes I(X;Y_b) − I(X;Y_a) by a deterministic simplex grid (for
-    nx <= grid_cap) plus multi-start projected gradient ascent.
+    nx <= grid_cap; larger inputs fall back to the ascent alone) plus
+    multi-start projected gradient ascent.
     """
     _check_pair(ch, a, b)
     if a == b:
@@ -223,15 +224,12 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
         return part(wb) - part(wa)
 
     starts: list[np.ndarray] = [np.full(ch.nx, 1.0 / ch.nx)]
-    used_resolution = 0
-    if grid_resolution > 0:
-        if ch.nx > grid_cap:
-            raise CapabilityError(
-                f"simplex grid infeasible for nx={ch.nx} > {grid_cap}; "
-                "rerun with grid_resolution=0 (multistart-only mode)")
-        used_resolution = grid_resolution
+    # past grid_cap inputs the grid is too large: multistart only, and the
+    # report says so with grid_resolution 0
+    used_resolution = grid_resolution if ch.nx <= grid_cap else 0
+    if used_resolution > 0:
         best_grid, best_val = None, -np.inf
-        for p in _simplex_grid(ch.nx, grid_resolution):
+        for p in _simplex_grid(ch.nx, used_resolution):
             v = objective(p)
             if v > best_val:
                 best_grid, best_val = p, v
@@ -352,8 +350,7 @@ def implication_check(ch: Channel3, a: int, b: int, restarts: int = 32,
     implications are theorems."""
     deg = is_degraded(ch, a, b)
     ln = is_less_noisy(ch, a, b, restarts=restarts, seed=seed)
-    mc = is_more_capable(ch, a, b, restarts=restarts, seed=seed,
-                         grid_resolution=64 if ch.nx <= 3 else 0)
+    mc = is_more_capable(ch, a, b, restarts=restarts, seed=seed)
     violations = []
     if deg.verdict is True and ln.verdict is False:
         violations.append("degraded holds but less_noisy fails")

@@ -67,6 +67,30 @@ class TestExitCodes:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--out", "--aux-out"])
+    def test_output_in_missing_directory_is_domain_error(
+            self, flag, ch_file, tmp_path, capsys):
+        paths = {"--out": str(tmp_path / "f.csv"),
+                 "--aux-out": str(tmp_path / "aux.json")}
+        paths[flag] = str(tmp_path / "missing" / "x")
+        rc = dispatch(["regions", "frontier", "--bound", "inner3dm",
+                       "--channel", ch_file, "--weights", "1,1,1,1,1",
+                       "--seed", "0", "--restarts", "1", "--iters", "0",
+                       "--out", paths["--out"],
+                       "--aux-out", paths["--aux-out"]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: output file ") and "missing" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_is_usage_error(self, trials, ch_file,
+                                               aux_file, code_file, capsys):
+        rc = dispatch(["sim", "run", "--channel", ch_file, "--aux", aux_file,
+                       "--config", code_file, "--trials", trials,
+                       "--seed", "0"])
+        assert rc == 2
+        assert "trials" in capsys.readouterr().err
+
     def test_success(self, ch_file, capsys):
         rc = dispatch(["orderings", "--channel", ch_file, "--pair", "1,3",
                        "--predicate", "degraded"])

@@ -101,6 +101,68 @@ class TestBuildCodebook:
         assert np.array_equal(a.u2, b.u2)
 
 
+def layered_aux() -> AuxJoint:
+    """U1 uniform binary; U2 and U3 each carry U1 plus one fresh uniform bit
+    (symbol j belongs to U1 = j mod 2), and X = b2 xor b3 flipped with
+    probability 0.1."""
+    p = np.zeros((2, 4, 4, 2))
+    for u1, b2, b3, x in np.ndindex(2, 2, 2, 2):
+        p[u1, u1 + 2 * b2, u1 + 2 * b3, x] = (0.9 if x == b2 ^ b3 else 0.1) / 8
+    return AuxJoint(2, 4, 4, 2, p)
+
+
+class TestProductBinOrder:
+    """The vectorized walks against plain loops over the product bins."""
+
+    @pytest.fixture(scope="class")
+    def layered(self):
+        m = np.array([[0.9, 0.0, 0.1], [0.0, 0.9, 0.1]])
+        cfg = CodeConfig(n=8, r0=0.1, r1e=0.1, r1p=0.1, r1dag=0.1, q2=0.4,
+                         q3=0.3, p3=0.1, p3dag=0.1, p1e=0.1, p1p=0.1,
+                         eps=1.5, seed=2)
+        return build_codebook(cfg, layered_aux(), product_channel(m, m, m))
+
+    def test_sizes_and_unpaired_bins(self, layered):
+        cb = layered
+        assert min(cb.x.shape[:-1]) == 2
+        assert 0 < cb.pairing_failure_fraction < 1
+
+    def test_pairing_takes_first_typical_candidate(self, layered):
+        cb, s, n = layered, layered.sizes, layered.cfg.n
+        aux = cb.aux
+        pmf = aux.joint_pmf().marginal(["U1", "U2", "U3"]).probs.ravel()
+        for w0, w1, w1p, p3 in np.ndindex(cb.pair.shape[:-1]):
+            want = (-1, -1)
+            for w1dag, p3dag in np.ndindex(s["r1dag"], s["p3dag"]):
+                q2 = (w1 * s["r1p"] + w1p) * s["r1dag"] + w1dag
+                q3 = p3 * s["p3dag"] + p3dag
+                idx = ((cb.u1[w0] * aux.m2 + cb.u2[w0, q2]) * aux.m3
+                       + cb.u3[w0, q3])
+                if typical(np.bincount(idx, minlength=pmf.size), n, pmf,
+                           cb.cfg.eps):
+                    want = (w1dag, p3dag)
+                    break
+            assert tuple(cb.pair[w0, w1, w1p, p3]) == want
+            assert (cb.x[w0, w1, w1p, p3] >= 0).all() == (want[0] >= 0)
+
+    def test_rx1_table_matches_loop(self, layered):
+        cb, s = layered, layered.sizes
+        m2, m3, nx = cb.aux.m2, cb.aux.m3, cb.aux.nx
+        rows, labels = [], []
+        for w0, w1, w1p, p3, p1, p1p in np.ndindex(cb.x.shape[:-1]):
+            w1dag, p3dag = cb.pair[w0, w1, w1p, p3]
+            if w1dag < 0:
+                continue
+            q2 = (w1 * s["r1p"] + w1p) * s["r1dag"] + w1dag
+            q3 = p3 * s["p3dag"] + p3dag
+            base = (cb.u1[w0] * m2 + cb.u2[w0, q2]) * m3 + cb.u3[w0, q3]
+            rows.append(base * nx + cb.x[w0, w1, w1p, p3, p1, p1p])
+            labels.append((w0, w1, p1 * s["p3"] + p3))
+        got_rows, got_labels = cb.rx1_table
+        assert np.array_equal(got_rows, np.array(rows))
+        assert np.array_equal(got_labels, np.array(labels))
+
+
 @pytest.fixture(scope="module")
 def cb(aux, bsc_third):
     cfg = CodeConfig(n=6, r1e=0.1, r1p=0.2, q2=0.4, eps=0.5, seed=1)

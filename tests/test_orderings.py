@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bcsl.errors import CapabilityError, UsageError
+from bcsl.errors import UsageError
 from bcsl.orderings import (implication_check, is_degraded, is_less_noisy,
                             is_more_capable)
 
@@ -59,12 +59,15 @@ class TestMoreCapable:
         assert rep.gap == pytest.approx(cap(m1) - cap(m3), abs=1e-6)
 
     def test_grid_cap(self, rng):
+        # past grid_cap the search falls back to multistart only, the same
+        # search as an explicit grid_resolution=0, and reports no grid
         ch = random_channel(rng, 4, 2, 2, 2)
-        with pytest.raises(CapabilityError):
-            is_more_capable(ch, 1, 3, seed=0)
-        # multistart-only mode still works
-        rep = is_more_capable(ch, 1, 3, seed=0, grid_resolution=0)
+        rep = is_more_capable(ch, 1, 3, seed=0)
+        assert rep.grid_resolution == 0
         assert rep.verdict in (True, False, None)
+        bare = is_more_capable(ch, 1, 3, seed=0, grid_resolution=0)
+        assert (rep.gap, rep.verdict) == (bare.gap, bare.verdict)
+        assert np.array_equal(rep.witness, bare.witness)
 
 
 class TestLessNoisy:
