@@ -15,6 +15,7 @@ primary outputs are byte-identical across reruns and thread counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -120,6 +121,7 @@ class _Emitter:
 
     def __init__(self, args, command: str, inputs: list[str]):
         self.out = getattr(args, "out", None)
+        self.written: list[str] = []
         self.manifest = RunManifest(
             command=command,
             parameters={k: v for k, v in vars(args).items()
@@ -129,13 +131,17 @@ class _Emitter:
             seed=getattr(args, "seed", None),
             started=_now())
 
-    @staticmethod
-    def write(path: str, text: str) -> None:
-        """Write one output file; an unwritable path is a domain error."""
+    def write(self, path: str, text: str) -> None:
+        """Write one output file.  An unwritable path is a domain error,
+        and every file this run has opened is removed with it."""
         try:
             with open(path, "w") as fh:
+                self.written.append(path)
                 fh.write(text)
         except OSError as e:
+            for p in self.written:
+                with contextlib.suppress(OSError):
+                    os.remove(p)
             raise ValidationError(f"output file {path}: {e.strerror}") from e
 
     def _to_out(self, text: str) -> bool:
@@ -232,14 +238,15 @@ def cmd_regions_frontier(args) -> int:
         BoundId(args.bound), ch, w, cfg, ordering_reports=reports,
         override=args.override)
     r = rate.as_dict()
+    # the sidecar goes first, so a failed write prints no primary output
+    sidecar = args.aux_out or ((args.out or "frontier") + ".aux.json")
+    em.write(sidecar, _json_dump(aux.to_dict()))
     em.emit_csv(
         ["w_r0", "w_r1", "w_r1e", "w_r2", "w_r2e",
          "R0", "R1", "R1e", "R2", "R2e", "value"],
         [[*(repr(float(x)) for x in w),
           *(repr(float(r[s])) for s in ("R0", "R1", "R1e", "R2", "R2e")),
           repr(float(value))]])
-    sidecar = args.aux_out or ((args.out or "frontier") + ".aux.json")
-    em.write(sidecar, _json_dump(aux.to_dict()))
     return 0
 
 

@@ -24,45 +24,34 @@ def _phase1_simplex(eq_matrix: list[list[Fraction]],
                     eq_rhs: list[Fraction]) -> list[Fraction] | None:
     """Find x >= 0 with M x = r, exactly; None if infeasible.
 
-    Classic phase-1 with artificial variables and Bland's rule.
+    Classic phase-1 with artificial variables and Bland's rule.  The
+    reduced-cost row of the phase-1 objective (minimise the sum of the
+    artificials) and its value are carried as one more tableau row and
+    pivoted with the rest, so no pivot rebuilds them.  Every row operation
+    touches only the nonzero columns of the pivot row.  Arithmetic is exact,
+    so the carried row equals the from-scratch one and Bland's rule makes
+    the same choices.
     """
     m = len(eq_matrix)
     n = len(eq_matrix[0]) if m else 0
-    # make rhs nonnegative
+    # make rhs nonnegative; columns: n structural + m artificial
     tab = []
     rhs = []
     for i in range(m):
-        if eq_rhs[i] < 0:
-            tab.append([-v for v in eq_matrix[i]])
-            rhs.append(-eq_rhs[i])
-        else:
-            tab.append(list(eq_matrix[i]))
-            rhs.append(eq_rhs[i])
-    # columns: n structural + m artificial
-    for i in range(m):
-        for k in range(m):
-            tab[i].append(Fraction(1) if i == k else ZERO)
+        sign = -1 if eq_rhs[i] < 0 else 1
+        tab.append([sign * v for v in eq_matrix[i]]
+                   + [Fraction(1) if i == k else ZERO for k in range(m)])
+        rhs.append(sign * eq_rhs[i])
     basis = [n + i for i in range(m)]
-
-    def objective_row() -> list[Fraction]:
-        # minimize sum of artificials: reduced costs z_j - c_j
-        red = [ZERO] * (n + m)
-        obj = ZERO
-        for i in range(m):
-            if basis[i] >= n:
-                for j in range(n + m):
-                    red[j] += tab[i][j]
-                obj += rhs[i]
-        for j in range(n + m):
-            if j >= n:
-                red[j] -= 1
-        return red + [obj]
+    # every artificial starts basic: reduced cost z_j - c_j is the column sum
+    # for a structural column and 1 - 1 for an artificial one
+    red = [sum((row[j] for row in tab), ZERO) for j in range(n)] + [ZERO] * m
+    obj = sum(rhs, ZERO)
 
     while True:
-        red = objective_row()
         enter = next((j for j in range(n + m) if red[j] > 0), None)
         if enter is None:
-            if red[-1] != 0:
+            if obj != 0:
                 return None
             break
         # Bland ratio test
@@ -76,14 +65,22 @@ def _phase1_simplex(eq_matrix: list[list[Fraction]],
                     best, pivot = ratio, i
         if pivot is None:
             return None  # unbounded phase-1 cannot happen, defensive
-        piv = tab[pivot][enter]
-        tab[pivot] = [v / piv for v in tab[pivot]]
+        prow = tab[pivot]
+        cols = [j for j in range(n + m) if prow[j] != 0]
+        piv = prow[enter]
+        for j in cols:
+            prow[j] /= piv
         rhs[pivot] /= piv
-        for i in range(m):
-            if i != pivot and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[pivot])]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if i != pivot and f != 0:
+                for j in cols:
+                    row[j] -= f * prow[j]
                 rhs[i] -= f * rhs[pivot]
+        f = red[enter]
+        for j in cols:
+            red[j] -= f * prow[j]
+        obj -= f * rhs[pivot]
         basis[pivot] = enter
 
     x = [ZERO] * n

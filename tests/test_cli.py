@@ -82,6 +82,24 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("error: output file ") and "missing" in err
 
+    @pytest.mark.parametrize("with_out", [True, False])
+    def test_failed_frontier_write_leaves_no_output(
+            self, with_out, ch_file, tmp_path, capsys):
+        outdir = tmp_path / "outs"
+        outdir.mkdir()
+        argv = ["regions", "frontier", "--bound", "inner3dm",
+                "--channel", ch_file, "--weights", "1,1,1,1,1",
+                "--seed", "0", "--restarts", "1", "--iters", "0",
+                "--aux-out", str(tmp_path / "missing" / "aux.json")]
+        if with_out:
+            argv += ["--out", str(outdir / "f.csv")]
+        rc = dispatch(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: output file ")
+        assert captured.out == ""
+        assert list(outdir.iterdir()) == []
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_is_usage_error(self, trials, ch_file,
                                                aux_file, code_file, capsys):
