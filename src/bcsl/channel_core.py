@@ -7,6 +7,7 @@ that expressions over many variable subsets cannot silently transpose axes.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -160,6 +161,15 @@ class Channel3:
         object.__setattr__(self, "ny3", int(ny3))
         object.__setattr__(self, "p", t)
         t.setflags(write=False)
+
+    @property
+    def sha256(self) -> str:
+        """Canonical digest of the channel: SHA-256 of the tensor shape
+        (four little-endian int64) followed by its little-endian float64
+        entries in C order."""
+        h = hashlib.sha256(np.asarray(self.p.shape, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(self.p, dtype="<f8").tobytes())
+        return h.hexdigest()
 
     # -- single-receiver marginals -------------------------------------
     def marginal_to(self, receiver: int) -> np.ndarray:

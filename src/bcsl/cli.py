@@ -98,11 +98,15 @@ def parse_aux(path: str) -> AuxJoint:
 
 def _report_from_dict(d: dict) -> OrderingReport:
     verdicts = {"true": True, "false": False, "indeterminate": None}
+    digest = d["channel_sha256"]
+    if not isinstance(digest, str):
+        raise TypeError("channel_sha256 must be a string")
     return OrderingReport(
         predicate=d["predicate"], pair=tuple(int(v) for v in d["pair"]),
         verdict=verdicts[d["verdict"]], gap=float(d["gap_bits"]),
         witness=np.asarray(d["witness"]) if d.get("witness") is not None
         else None,
+        channel_sha256=digest,
         restarts=d.get("restarts", 0),
         grid_resolution=d.get("grid_resolution", 0),
         note=d.get("note", ""))

@@ -33,6 +33,8 @@ RATE_TOL = 1e-9
 DEFAULT_RETRY_CAP = 2000
 DEFAULT_ENUM_CAP = 2 ** 20
 DEFAULT_CODEWORD_CAP = 10 ** 7
+# sum tolerance of a sampling row, the one Generator.choice applies to p
+_PMF_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 # RNG stream tags (first element after the master seed)
 _STREAM_GEN = 0
@@ -172,15 +174,37 @@ def _draw_iid_typical(rng: np.random.Generator, probs: np.ndarray, n: int,
         "the typical set may be empty at this blocklength")
 
 
+def _cdf_rows(rows: np.ndarray) -> np.ndarray:
+    """Cumulative rows of a stack of pmfs, normalised as
+    ``Generator.choice`` normalises ``p``, for `_draw_rows`."""
+    sums = rows.sum(axis=1)
+    if np.any(rows < 0) or np.any(np.abs(sums - 1.0) > _PMF_ATOL):
+        raise ValidationError("sampling rows are not probability vectors")
+    cdf = np.cumsum(rows, axis=1)
+    return cdf / cdf[:, -1:]
+
+
+def _draw_rows(rng: np.random.Generator, cdf: np.ndarray,
+               base: np.ndarray) -> np.ndarray:
+    """s_i ~ row base_i of the pmfs behind `cdf`, by inverse CDF.
+
+    One uniform per symbol and the count of CDF entries at or below it (a
+    right-sided search): ``rng.choice(k, p=row)`` symbol by symbol, draw
+    for draw."""
+    u = rng.random(len(base))
+    return (u[:, None] >= cdf[base]).sum(axis=1)
+
+
 def _draw_cond_typical(rng: np.random.Generator, cond_base: np.ndarray,
-                       cond: np.ndarray, typ_base: np.ndarray,
+                       cond_cdf: np.ndarray, typ_base: np.ndarray,
                        joint_flat: np.ndarray, n: int, eps: float, cap: int,
                        what: str) -> np.ndarray:
     """Draw s with s_i ~ cond[cond_base_i] until (typ_base, s) is jointly
-    typical for joint_flat (flattened over typ_base-symbol x new-symbol)."""
-    k_new = cond.shape[1]
+    typical for joint_flat (flattened over typ_base-symbol x new-symbol);
+    `cond_cdf` is `_cdf_rows(cond)`."""
+    k_new = cond_cdf.shape[1]
     for _ in range(cap):
-        s = np.array([rng.choice(k_new, p=cond[b]) for b in cond_base])
+        s = _draw_rows(rng, cond_cdf, cond_base)
         idx = typ_base * k_new + s
         if typical(np.bincount(idx, minlength=joint_flat.size), n,
                    joint_flat, eps):
@@ -318,11 +342,11 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
     p_u1u3 = ajoint.marginal(["U1", "U3"]).probs
     p_u1u2u3 = ajoint.marginal(["U1", "U2", "U3"]).probs
     p_full = ajoint.probs
-    cond_u2 = _conditional(p_u1u2)
-    cond_u3 = _conditional(p_u1u3)
+    cdf_u2 = _cdf_rows(_conditional(p_u1u2))
+    cdf_u3 = _cdf_rows(_conditional(p_u1u3))
     # x | (u2, u3): U1 is conditionally irrelevant by the Markov chain
     p_u2u3x = ajoint.marginal(["U2", "U3", "X"]).probs
-    cond_x = _conditional(p_u2u3x.reshape(m2 * m3, nx))
+    cdf_x = _cdf_rows(_conditional(p_u2u3x.reshape(m2 * m3, nx)))
 
     rng = np.random.default_rng([cfg.seed, _STREAM_GEN])
     nw0, nq2, nq3 = s["r0"], s["q2_bank"], s["q3_bank"]
@@ -332,11 +356,11 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
     for w0 in range(nw0):
         u1[w0] = _draw_iid_typical(rng, p_u1, n, eps, retry_cap, "p(u1)")
         for q2 in range(nq2):
-            u2[w0, q2] = _draw_cond_typical(rng, u1[w0], cond_u2, u1[w0],
+            u2[w0, q2] = _draw_cond_typical(rng, u1[w0], cdf_u2, u1[w0],
                                             p_u1u2.ravel(), n, eps,
                                             retry_cap, "p(u2|u1)")
         for q3 in range(nq3):
-            u3[w0, q3] = _draw_cond_typical(rng, u1[w0], cond_u3, u1[w0],
+            u3[w0, q3] = _draw_cond_typical(rng, u1[w0], cdf_u3, u1[w0],
                                             p_u1u3.ravel(), n, eps,
                                             retry_cap, "p(u3|u1)")
 
@@ -370,7 +394,7 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
         # draw conditioned on (u2,u3), the low digits of the triple, but
         # test joint typicality of the full (u1,u2,u3,x) tuple
         cb.x[idx] = _draw_cond_typical(
-            rng, joint_base % (m2 * m3), cond_x, joint_base, flat_full,
+            rng, joint_base % (m2 * m3), cdf_x, joint_base, flat_full,
             n, eps, retry_cap, "p(x|u2,u3)")
     return cb
 
@@ -513,7 +537,7 @@ class SimReport:
         return out
 
 
-def _run_trial(cb: Codebook, flat_ch: np.ndarray, trial: int, seed: int
+def _run_trial(cb: Codebook, ch_cdf: np.ndarray, trial: int, seed: int
                ) -> tuple[bool, bool, bool, bool]:
     """One trial: draw messages, encode, push through the channel, decode.
     Returns (rx1_err, rx2_err, rx3_err, encode_failed)."""
@@ -526,9 +550,8 @@ def _run_trial(cb: Codebook, flat_ch: np.ndarray, trial: int, seed: int
         xs = encode(cb, w0, w1, w2, nonce=trial)
     except EncodingError:
         return True, True, True, True
-    ny1, ny2, ny3 = cb.ch.ny1, cb.ch.ny2, cb.ch.ny3
-    k = ny1 * ny2 * ny3
-    draws = np.array([rng.choice(k, p=flat_ch[xi]) for xi in xs])
+    ny2, ny3 = cb.ch.ny2, cb.ch.ny3
+    draws = _draw_rows(rng, ch_cdf, xs)
     y1 = draws // (ny2 * ny3)
     y2 = (draws // ny3) % ny2
     y3 = draws % ny3
@@ -553,8 +576,8 @@ def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
         raise UsageError(f"trials must be at least 1, got {trials}")
     t0 = time.time()
     cb = codebook if codebook is not None else build_codebook(cfg, aux, ch)
-    flat_ch = cb.ch.p.reshape(cb.ch.nx, -1)
-    results = [_run_trial(cb, flat_ch, t, seed) for t in range(trials)]
+    ch_cdf = _cdf_rows(cb.ch.p.reshape(cb.ch.nx, -1))
+    results = [_run_trial(cb, ch_cdf, t, seed) for t in range(trials)]
     e1 = sum(r[0] for r in results)
     e2 = sum(r[1] for r in results)
     e3 = sum(r[2] for r in results)
@@ -600,6 +623,17 @@ class EquivocationReport:
                 "per_use": self.per_use}
 
 
+def _likelihood_table(ch3: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """p(y^k|x^k) of codeword segments xs (..., k) over every y^k, in the C
+    order of (y_1, ..., y_k): shape (..., ny^k), all ones when k = 0."""
+    lead = xs.shape[:-1]
+    out = np.ones(lead + (1,))
+    for i in range(xs.shape[-1]):
+        out = (out[..., :, None] * ch3[xs[..., i]][..., None, :]
+               ).reshape(lead + (-1,))
+    return out
+
+
 def exact_equivocation(cb: Codebook, *, enum_cap: int = DEFAULT_ENUM_CAP
                        ) -> EquivocationReport:
     """Exact H(W1|Y3^n), H(W2|Y3^n), H(W1,W2|Y3^n) by full enumeration.
@@ -620,12 +654,28 @@ def exact_equivocation(cb: Codebook, *, enum_cap: int = DEFAULT_ENUM_CAP
             "fully paired codebook")
     ch3 = cb.ch.marginal_to(3)          # (nx, ny3)
     nw1, nw2 = s["r1e"], s["w2"]
-    table = np.zeros((nw1, nw2, ny3 ** n))
     weight = 1.0 / math.prod(cb.x.shape[:-1])
-    for idx in np.ndindex(cb.x.shape[:-1]):
-        # p(y3^n | x^n) over all y3^n, in the C order of (y3_1, ..., y3_n)
-        lik = functools.reduce(np.multiply.outer, ch3[cb.x[idx]]).ravel()
-        table[idx[1], cb.join_w2(idx[4], idx[3])] += weight * lik
+    # codewords grouped by (w1, w2): (w1, p1, p3, w0, w1p, p1p, n), so that
+    # w2 = join_w2(p1, p3) = p1 * Np3 + p3 falls out of the reshape
+    xs = cb.x.transpose(1, 4, 3, 0, 2, 5, 6).reshape(nw1, nw2, -1, n)
+    # p(y3^n|x^n) = outer(L_A, L_B) over the two halves of the block, the
+    # first half giving the high digits of the C order of (y3_1, ..., y3_n);
+    # each group's table row is then sum_c weight L_A(c) (x) L_B(c), one
+    # matrix product.  Blocks of at most ny3^h codewords keep both half
+    # tables no larger than the output table.
+    h = n // 2
+    block = ny3 ** h
+
+    # half tables live only inside one call, so none outlives its block
+    def group_sum(part: np.ndarray) -> np.ndarray:
+        la = weight * _likelihood_table(ch3, part[..., :h])
+        return np.matmul(la.swapaxes(-1, -2),
+                         _likelihood_table(ch3, part[..., h:]))
+
+    table = group_sum(xs[:, :, :block])
+    for lo in range(block, xs.shape[2], block):
+        table += group_sum(xs[:, :, lo:lo + block])
+    table = table.reshape(nw1, nw2, ny3 ** n)
     h_y3 = tensor_entropy(table.sum(axis=(0, 1)))
     h_w1y3 = tensor_entropy(table.sum(axis=1))
     h_w2y3 = tensor_entropy(table.sum(axis=0))

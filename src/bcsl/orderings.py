@@ -45,6 +45,8 @@ class OrderingReport:
     (positive = evidence against the predicate).  `witness` is a stochastic
     factorization matrix for the degraded predicate, and the worst
     input/auxiliary distribution found for the search-based ones.
+    `channel_sha256` is the `Channel3.sha256` of the channel it was
+    computed on.
     """
 
     predicate: str
@@ -52,6 +54,7 @@ class OrderingReport:
     verdict: bool | None
     gap: float
     witness: np.ndarray | None
+    channel_sha256: str
     restarts: int = 0
     grid_resolution: int = 0
     note: str = ""
@@ -69,6 +72,7 @@ class OrderingReport:
             "verdict": self.status,
             "gap_bits": self.gap,
             "witness": None if self.witness is None else self.witness.tolist(),
+            "channel_sha256": self.channel_sha256,
             "restarts": self.restarts,
             "grid_resolution": self.grid_resolution,
             "note": self.note,
@@ -149,7 +153,8 @@ def is_degraded(ch: Channel3, a: int, b: int,
     wb = ch.marginal_to(b)
     nya, nyb = wa.shape[1], wb.shape[1]
     if a == b:
-        return OrderingReport("degraded", (a, b), True, 0.0, np.eye(nya))
+        return OrderingReport("degraded", (a, b), True, 0.0, np.eye(nya),
+                              ch.sha256)
 
     # variables: W (nya*nyb, row-major) then t
     nvar = nya * nyb + 1
@@ -182,7 +187,7 @@ def is_degraded(ch: Channel3, a: int, b: int,
     deviation = float(res.x[-1])
     witness = res.x[:-1].reshape(nya, nyb) if deviation <= tol else None
     return OrderingReport("degraded", (a, b), deviation <= tol,
-                          deviation, witness,
+                          deviation, witness, ch.sha256,
                           note=f"max marginal deviation {deviation:.3e}")
 
 
@@ -207,7 +212,7 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
     _check_pair(ch, a, b)
     if a == b:
         return OrderingReport("more_capable", (a, b), True, 0.0,
-                              np.full(ch.nx, 1.0 / ch.nx))
+                              np.full(ch.nx, 1.0 / ch.nx), ch.sha256)
     wa = ch.marginal_to(a)
     wb = ch.marginal_to(b)
 
@@ -244,7 +249,7 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
         if v > best_val:
             best_p, best_val = p, v
     return OrderingReport("more_capable", (a, b), _band_verdict(best_val),
-                          best_val, best_p, restarts=restarts,
+                          best_val, best_p, ch.sha256, restarts=restarts,
                           grid_resolution=used_resolution,
                           note="numerically certified only up to search effort")
 
@@ -264,7 +269,8 @@ def is_less_noisy(ch: Channel3, a: int, b: int, nu: int | None = None,
         nu = ch.nx + 1
     if a == b:
         return OrderingReport("less_noisy", (a, b), True, 0.0,
-                              np.full((nu, ch.nx), 1.0 / (nu * ch.nx)))
+                              np.full((nu, ch.nx), 1.0 / (nu * ch.nx)),
+                              ch.sha256)
     wa = ch.marginal_to(a)
     wb = ch.marginal_to(b)
 
@@ -315,7 +321,7 @@ def is_less_noisy(ch: Channel3, a: int, b: int, nu: int | None = None,
             best_p, best_val = p, v
     witness = best_p.reshape(nu, ch.nx)
     return OrderingReport("less_noisy", (a, b), _band_verdict(best_val),
-                          best_val, witness, restarts=restarts,
+                          best_val, witness, ch.sha256, restarts=restarts,
                           note="numerically certified only up to search effort; "
                                f"|U|={nu}, samples={samples}")
 

@@ -370,13 +370,18 @@ class MITable:
         return self._cache[name]
 
 
-def _require_report(reports: Iterable[OrderingReport] | None,
+def _require_report(reports: Iterable[OrderingReport] | None, ch: Channel3,
                     predicate: str, pair: tuple[int, int],
                     description: str, override: bool) -> list[str]:
     if override:
         return [f"condition unverified: {description} (override)"]
     for rep in reports or ():
         if rep.predicate == predicate and tuple(rep.pair) == pair:
+            if rep.channel_sha256 != ch.sha256:
+                raise PreconditionError(
+                    f"ordering report for {description} was computed on "
+                    f"channel {rep.channel_sha256[:12]}..., not on this "
+                    f"channel {ch.sha256[:12]}...")
             if rep.verdict is True:
                 return []
             raise PreconditionError(
@@ -404,7 +409,7 @@ def eval_bound(bound: BoundId, ch: Channel3, aux: AuxJoint, *,
 
     notes: list[str] = []
     if bound in (BoundId.OUTER_3DM, BoundId.OUTER_TYPE1):
-        notes += _require_report(ordering_reports, "more_capable", (1, 3),
+        notes += _require_report(ordering_reports, ch, "more_capable", (1, 3),
                                  "receiver 1 is more capable than receiver 3",
                                  override)
         notes.append("more-capable precondition applied to the whole bound, "
@@ -412,10 +417,10 @@ def eval_bound(bound: BoundId, ch: Channel3, aux: AuxJoint, *,
         notes.append("single-auxiliary outer-bound certificate point, "
                      "not the region")
     if bound is BoundId.REGION_TYPE2:
-        notes += _require_report(ordering_reports, "less_noisy", (1, 3),
+        notes += _require_report(ordering_reports, ch, "less_noisy", (1, 3),
                                  "receiver 1 is less noisy than receiver 3",
                                  override)
-        notes += _require_report(ordering_reports, "less_noisy", (2, 3),
+        notes += _require_report(ordering_reports, ch, "less_noisy", (2, 3),
                                  "receiver 2 is less noisy than receiver 3",
                                  override)
 
@@ -505,9 +510,9 @@ def eval_cor3_match(ch: Channel3, p_ux: np.ndarray, *,
     Each region inequality is compared against its specialized counterpart
     row in both bounds; all RHS values must agree within ``MATCH_TOL``.
     """
-    _require_report(ordering_reports, "less_noisy", (1, 3),
+    _require_report(ordering_reports, ch, "less_noisy", (1, 3),
                     "receiver 1 is less noisy than receiver 3", override)
-    _require_report(ordering_reports, "less_noisy", (2, 3),
+    _require_report(ordering_reports, ch, "less_noisy", (2, 3),
                     "receiver 2 is less noisy than receiver 3", override)
     aux = type2_aux(p_ux, ch.nx)
     mi = MITable(induced_joint(ch, aux))

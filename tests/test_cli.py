@@ -163,6 +163,38 @@ class TestOutputsRoundTrip:
         assert rc == 0
         capsys.readouterr()
 
+    def test_report_from_another_channel_rejected(self, ch_file, aux_file,
+                                                  tmp_path, capsys):
+        # a more-capable report on the cascade channel says nothing about a
+        # channel where Y1 is pure noise and Y3 = X
+        rep = tmp_path / "mc.json"
+        assert dispatch(["orderings", "--channel", ch_file, "--pair", "1,3",
+                         "--predicate", "more_capable", "--seed", "0",
+                         "--out", str(rep)]) == 0
+        capsys.readouterr()
+        t = np.einsum("i,xj,xk->xijk", [0.5, 0.5], bsc(0.1), np.eye(2))
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(
+            {"nx": 2, "ny1": 2, "ny2": 2, "ny3": 2, "p": t.tolist()}))
+        rc = dispatch(["regions", "eval", "--bound", "outer3dm",
+                       "--channel", str(other), "--aux", aux_file,
+                       "--ordering-report", str(rep)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "computed on channel" in err
+
+    def test_report_without_channel_digest_rejected(self, ch_file, aux_file,
+                                                    tmp_path, capsys):
+        rep = tmp_path / "mc.json"
+        rep.write_text(json.dumps({k: v for k, v in _VALID_REPORT.items()
+                                   if k != "channel_sha256"}))
+        rc = dispatch(["regions", "eval", "--bound", "outer3dm",
+                       "--channel", ch_file, "--aux", aux_file,
+                       "--ordering-report", str(rep)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "channel_sha256" in err
+
     def test_outer_without_report_fails(self, ch_file, aux_file, capsys):
         rc = dispatch(["regions", "eval", "--bound", "outer3dm",
                        "--channel", ch_file, "--aux", aux_file])
@@ -212,7 +244,8 @@ _JSON_VALUES = st.recursive(
 
 _VALID_REPORT = {"predicate": "more_capable", "pair": [1, 3],
                  "verdict": "false", "gap_bits": 0.5, "witness": None,
-                 "restarts": 0, "grid_resolution": 0, "note": ""}
+                 "restarts": 0, "grid_resolution": 0, "note": "",
+                 "channel_sha256": cascade_channel(0.1, 0.08, 0.08).sha256}
 
 
 @st.composite

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bcsl.codec_sim import (CodeConfig, build_codebook, exact_equivocation,
-                            secrecy_gap_study)
+from bcsl.codec_sim import (CodeConfig, Codebook, build_codebook,
+                            exact_equivocation, secrecy_gap_study)
 from bcsl.errors import CapabilityError, ValidationError
 
-from conftest import bsc, product_channel, uniform_binary_input_aux
+from conftest import (bsc, product_channel, random_channel,
+                      uniform_binary_input_aux)
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +117,59 @@ class TestGapStudy:
         assert row["seed"] == 1 and row["r1p"] == pytest.approx(0.2)
         assert row["h_w1_per_use"] == pytest.approx(direct.per_use["w1"])
         assert row["gap_w1"] == pytest.approx(0.2 - direct.per_use["w1"])
+
+
+# --------------------------------------------------------------------------
+# the stacked accumulation against a per-codeword Kronecker loop
+
+
+def _kron_oracle(cb: Codebook) -> tuple[float, float, float]:
+    """H(W1|Y3^n), H(W2|Y3^n), H(W1,W2|Y3^n) from a table built codeword
+    by codeword, with w2 = p1 * Np3 + p3."""
+    ch3 = cb.ch.marginal_to(3)
+    _, nw1, _, np3, np1, _, n = cb.x.shape
+    table = np.zeros((nw1, np1 * np3, cb.ch.ny3 ** n))
+    for w0, w1, w1p, p3, p1, p1p in np.ndindex(cb.x.shape[:-1]):
+        lik = np.ones(1)
+        for xi in cb.x[w0, w1, w1p, p3, p1, p1p]:
+            lik = np.kron(lik, ch3[xi])
+        table[w1, p1 * np3 + p3] += lik
+    table /= table.sum()
+
+    def h(t):
+        t = t[t > 0]
+        return float(-(t * np.log2(t)).sum())
+
+    h_y = h(table.sum(axis=(0, 1)))
+    return (h(table.sum(axis=1)) - h_y, h(table.sum(axis=0)) - h_y,
+            h(table) - h_y)
+
+
+def _sized(n: int, k: int) -> float:
+    """A rate whose message size at blocklength n is k."""
+    return math.log2(k) / n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2, 3, 5, 7]), ny3=st.sampled_from([2, 3]),
+       sizes=st.tuples(*[st.integers(1, 3)] * 6), seed=st.integers(0, 2**32))
+# more codewords per (w1, w2) group than ny3^(n - n//2): blocked sums
+@example(n=1, ny3=3, sizes=(3, 2, 2, 1, 1, 2), seed=1)
+@example(n=5, ny3=2, sizes=(3, 2, 2, 2, 1, 3), seed=2)
+def test_stacked_equivocation_matches_kron_loop(n, ny3, sizes, seed):
+    nw0, nw1, nw1p, np3, np1, np1p = sizes
+    rng = np.random.default_rng(seed)
+    ch = random_channel(rng, 2, 2, 2, ny3)
+    cfg = CodeConfig(n=n, r0=_sized(n, nw0), r1e=_sized(n, nw1),
+                     r1p=_sized(n, nw1p), p3=_sized(n, np3),
+                     p1e=_sized(n, np1), p1p=_sized(n, np1p), eps=1.0)
+    assert (cfg.sizes["r0"], cfg.sizes["r1e"], cfg.sizes["r1p"],
+            cfg.sizes["p3"], cfg.sizes["p1e"], cfg.sizes["p1p"]) == sizes
+    x = rng.integers(0, 2, size=sizes + (n,))
+    empty = np.zeros((nw0, 1, n), dtype=np.int64)
+    cb = Codebook(cfg, uniform_binary_input_aux(), ch, empty[:, 0], empty,
+                  empty, np.zeros(sizes[:4] + (2,), dtype=np.int64), x)
+    rep = exact_equivocation(cb)
+    want = _kron_oracle(cb)
+    got = (rep.h_w1_given_y3, rep.h_w2_given_y3, rep.h_w12_given_y3)
+    assert got == pytest.approx(want, abs=1e-12)
