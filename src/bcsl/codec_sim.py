@@ -163,17 +163,6 @@ def batch_typical(joint_idx: np.ndarray, n: int, pmf_flat: np.ndarray,
                   axis=1)
 
 
-def _draw_iid_typical(rng: np.random.Generator, probs: np.ndarray, n: int,
-                      eps: float, cap: int, what: str) -> np.ndarray:
-    for _ in range(cap):
-        s = rng.choice(probs.size, size=n, p=probs)
-        if typical(np.bincount(s, minlength=probs.size), n, probs, eps):
-            return s
-    raise GenerationError(
-        f"typicality rejection cap {cap} exceeded while sampling {what}; "
-        "the typical set may be empty at this blocklength")
-
-
 def _cdf_rows(rows: np.ndarray) -> np.ndarray:
     """Cumulative rows of a stack of pmfs, normalised as
     ``Generator.choice`` normalises ``p``, for `_draw_rows`."""
@@ -342,6 +331,7 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
     p_u1u3 = ajoint.marginal(["U1", "U3"]).probs
     p_u1u2u3 = ajoint.marginal(["U1", "U2", "U3"]).probs
     p_full = ajoint.probs
+    cdf_u1 = _cdf_rows(p_u1[None])
     cdf_u2 = _cdf_rows(_conditional(p_u1u2))
     cdf_u3 = _cdf_rows(_conditional(p_u1u3))
     # x | (u2, u3): U1 is conditionally irrelevant by the Markov chain
@@ -353,8 +343,10 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
     u1 = np.empty((nw0, n), dtype=np.int64)
     u2 = np.empty((nw0, nq2, n), dtype=np.int64)
     u3 = np.empty((nw0, nq3, n), dtype=np.int64)
+    zeros = np.zeros(n, dtype=np.int64)     # u1 draws from one row
     for w0 in range(nw0):
-        u1[w0] = _draw_iid_typical(rng, p_u1, n, eps, retry_cap, "p(u1)")
+        u1[w0] = _draw_cond_typical(rng, zeros, cdf_u1, zeros, p_u1, n, eps,
+                                    retry_cap, "p(u1)")
         for q2 in range(nq2):
             u2[w0, q2] = _draw_cond_typical(rng, u1[w0], cdf_u2, u1[w0],
                                             p_u1u2.ravel(), n, eps,

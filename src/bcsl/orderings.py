@@ -9,17 +9,21 @@ whether receiver `a` dominates receiver `b` in the respective sense.
 * more capable: max over input pmfs of I(X;Y_b) − I(X;Y_a) is <= 0 — a
   nonconcave search, estimated by a deterministic simplex grid plus
   multi-start projected gradient ascent.
-* less noisy: min over joint pmfs p(u,x) of I(U;Y_a) − I(U;Y_b) is >= 0 —
-  estimated by random sampling plus multi-start projected gradient descent.
+* less noisy: I(U;Y_a) >= I(U;Y_b) for all p(u,x), which holds iff
+  I(X;Y_a) − I(X;Y_b) is concave in p(x) (van Dijk, IEEE Trans. IT 43(2),
+  1997) — a scan of input pmfs for positive curvature; a positive-curvature
+  direction v at p gives the binary-U witness p(x|u) = p ± δv.
 
-Search-based verdicts are certified only up to search effort; reports carry
-the restart count and grid resolution.  The pass/fail tolerances are
-asymmetric (pass at <= 1e-7 violation, fail above 1e-6, indeterminate in
-between) to avoid flaky boundary verdicts.
+Both searches work on the input simplex.  Their verdicts are certified
+only up to search effort; reports carry the restart count and grid
+resolution.  The pass/fail tolerances are asymmetric (pass at <= 1e-7
+violation, fail above 1e-6, indeterminate in between) to avoid flaky
+boundary verdicts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +37,15 @@ DEGRADED_TOL = 1e-9
 PASS_TOL = 1e-7
 FAIL_TOL = 1e-6
 
+GRID_RESOLUTION = 64
+GRID_CAP = 3
+
 _LOG2 = np.log(2.0)
+# input pmfs per stacked step of the scans: no array grows with the grid or
+# the restarts, and the line-search stack stays small enough for the heap
+_CHUNK = 64
+# line-search steps along a positive-curvature direction, up to the boundary
+_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -79,20 +91,28 @@ class OrderingReport:
         }
 
 
-def _check_pair(ch: Channel3, a: int, b: int) -> None:
+def _check_args(a: int, b: int, restarts: int = 0) -> None:
     for r in (a, b):
         if r not in (1, 2, 3):
             raise UsageError(f"receiver id must be 1, 2 or 3, got {r}")
+    if restarts < 0:
+        raise UsageError(f"restarts must be >= 0, got {restarts}")
 
 
-def _mi_input(px: np.ndarray, w: np.ndarray) -> float:
-    """I(X;Y) in bits for input pmf px and channel matrix w[x][y]."""
-    joint = px[:, None] * w
-    py = joint.sum(axis=0)
+def _mi(px: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """I(X;Y) in bits for a stack of input pmfs px (..., nx) through channel
+    matrices w (..., nx, ny), broadcast against each other."""
+    joint = px[..., :, None] * w
+    py = joint.sum(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(joint > 0, joint / np.maximum(px[:, None] * py, 1e-300), 1.0)
+        ratio = np.where(joint > 0, joint / np.maximum(
+            px[..., :, None] * py[..., None, :], 1e-300), 1.0)
         terms = np.where(joint > 0, joint * np.log(ratio), 0.0)
-    return float(terms.sum() / _LOG2)
+    return terms.sum(axis=(-2, -1)) / _LOG2
+
+
+def _chunks(points: np.ndarray):
+    return (points[i:i + _CHUNK] for i in range(0, len(points), _CHUNK))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -128,17 +148,12 @@ def _ascend(objective: Callable[[np.ndarray], float],
     return p, best
 
 
-def _simplex_grid(dim: int, resolution: int):
-    """All pmfs with entries k/resolution (deterministic grid)."""
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-
-    for comp in rec([], resolution, dim):
-        yield np.array(comp, dtype=float) / resolution
+def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
+    """All pmfs with entries k/resolution, one per row, lexicographic."""
+    comps = [c + (resolution - sum(c),)
+             for c in itertools.product(range(resolution + 1), repeat=dim - 1)
+             if sum(c) <= resolution]
+    return np.array(comps, dtype=float) / resolution
 
 
 def is_degraded(ch: Channel3, a: int, b: int,
@@ -148,7 +163,7 @@ def is_degraded(ch: Channel3, a: int, b: int,
     Solves min_t { |(A W − B)[x, y_b]| <= t, W row-stochastic, W >= 0 } as
     an LP; verdict true iff the best t is within `tol`.
     """
-    _check_pair(ch, a, b)
+    _check_args(a, b)
     wa = ch.marginal_to(a)
     wb = ch.marginal_to(b)
     nya, nyb = wa.shape[1], wb.shape[1]
@@ -156,32 +171,21 @@ def is_degraded(ch: Channel3, a: int, b: int,
         return OrderingReport("degraded", (a, b), True, 0.0, np.eye(nya),
                               ch.sha256)
 
-    # variables: W (nya*nyb, row-major) then t
+    # variables: W (nya*nyb, row-major) then t; rows (x, y_b), each
+    # +(A W − B) − t <= 0 then −(A W − B) − t <= 0
     nvar = nya * nyb + 1
     cost = np.zeros(nvar)
     cost[-1] = 1.0
-    rows_ub, rhs_ub = [], []
-    for x in range(ch.nx):
-        for yb in range(nyb):
-            coeff = np.zeros(nvar)
-            for ya in range(nya):
-                coeff[ya * nyb + yb] = wa[x, ya]
-            coeff[-1] = -1.0
-            rows_ub.append(coeff.copy())
-            rhs_ub.append(wb[x, yb])
-            rows_ub.append(-coeff)
-            rows_ub[-1][-1] = -1.0
-            rhs_ub.append(-wb[x, yb])
-    rows_eq, rhs_eq = [], []
-    for ya in range(nya):
-        coeff = np.zeros(nvar)
-        coeff[ya * nyb:(ya + 1) * nyb] = 1.0
-        rows_eq.append(coeff)
-        rhs_eq.append(1.0)
-    res = linprog(cost, A_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
-                  A_eq=np.array(rows_eq), b_eq=np.array(rhs_eq),
-                  bounds=[(0, None)] * (nvar - 1) + [(0, None)],
-                  method="highs")
+    aw = np.kron(wa, np.eye(nyb))
+    t_col = np.ones((aw.shape[0], 1))
+    rows_ub = np.stack([np.hstack([aw, -t_col]), np.hstack([-aw, -t_col])],
+                       axis=1).reshape(-1, nvar)
+    rhs_ub = np.stack([wb.ravel(), -wb.ravel()], axis=1).ravel()
+    rows_eq = np.hstack([np.kron(np.eye(nya), np.ones(nyb)),
+                         np.zeros((nya, 1))])
+    res = linprog(cost, A_ub=rows_ub, b_ub=rhs_ub,
+                  A_eq=rows_eq, b_eq=np.ones(nya),
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise CapabilityError(f"degradedness LP failed: {res.message}")
     deviation = float(res.x[-1])
@@ -201,7 +205,8 @@ def _band_verdict(violation: float) -> bool | None:
 
 
 def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
-                    grid_resolution: int = 64, grid_cap: int = 3,
+                    grid_resolution: int = GRID_RESOLUTION,
+                    grid_cap: int = GRID_CAP,
                     seed: int = 0) -> OrderingReport:
     """Is receiver a more capable than b: I(X;Y_a) >= I(X;Y_b) for all p(x)?
 
@@ -209,15 +214,15 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
     nx <= grid_cap; larger inputs fall back to the ascent alone) plus
     multi-start projected gradient ascent.
     """
-    _check_pair(ch, a, b)
+    _check_args(a, b, restarts)
     if a == b:
         return OrderingReport("more_capable", (a, b), True, 0.0,
                               np.full(ch.nx, 1.0 / ch.nx), ch.sha256)
     wa = ch.marginal_to(a)
     wb = ch.marginal_to(b)
 
-    def objective(px: np.ndarray) -> float:
-        return _mi_input(px, wb) - _mi_input(px, wa)
+    def objective(px: np.ndarray) -> np.ndarray:
+        return _mi(px, wb) - _mi(px, wa)
 
     def gradient(px: np.ndarray) -> np.ndarray:
         # d I(X;Y)/d p(x) = D(W(.|x) || q) up to an additive constant
@@ -233,12 +238,9 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
     # report says so with grid_resolution 0
     used_resolution = grid_resolution if ch.nx <= grid_cap else 0
     if used_resolution > 0:
-        best_grid, best_val = None, -np.inf
-        for p in _simplex_grid(ch.nx, used_resolution):
-            v = objective(p)
-            if v > best_val:
-                best_grid, best_val = p, v
-        starts.append(best_grid)
+        grid = _simplex_grid(ch.nx, used_resolution)
+        values = np.concatenate([objective(c) for c in _chunks(grid)])
+        starts.append(grid[np.argmax(values)])
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         starts.append(rng.dirichlet(np.ones(ch.nx)))
@@ -248,82 +250,77 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
         p, v = _ascend(objective, gradient, p0)
         if v > best_val:
             best_p, best_val = p, v
+    best_val = float(best_val)
     return OrderingReport("more_capable", (a, b), _band_verdict(best_val),
                           best_val, best_p, ch.sha256, restarts=restarts,
                           grid_resolution=used_resolution,
                           note="numerically certified only up to search effort")
 
 
-def is_less_noisy(ch: Channel3, a: int, b: int, nu: int | None = None,
-                  restarts: int = 32, samples: int = 512,
+def _curvature(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W diag(1/q) Wᵀ, q = p W, at each p (k, nx): −ln 2 · Hessian of H(Y)."""
+    return np.einsum("xy,ky,zy->kxz", w, 1.0 / (p @ w), w)
+
+
+def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
                   seed: int = 0) -> OrderingReport:
     """Is receiver a less noisy than b: I(U;Y_a) >= I(U;Y_b) for all p(u,x)?
 
-    Minimizes I(U;Y_a) − I(U;Y_b) over joints p(u,x) with |U| = nu
-    (default nx + 1), by random sampling plus multi-start projected
-    gradient descent; the violation reported is the negative of the
-    smallest value found.
+    Scans input pmfs p (uniform, the simplex grid's interior for
+    nx <= GRID_CAP, 16·restarts Dirichlet draws) for a positive top
+    eigenvalue of the Hessian of I(X;Y_a) − I(X;Y_b) on the simplex's
+    tangent space, (1/ln 2)[−W_a diag(1/q_a) W_aᵀ + W_b diag(1/q_b) W_bᵀ].
+    Along each such eigenvector v, a line search over δ up to the simplex
+    boundary scores p(u) = 1/2, p(x|u) = p ± δv by I(U;Y_b) − I(U;Y_a); the
+    best score (0 if none is positive) is the gap, its p(u,x) the witness.
     """
-    _check_pair(ch, a, b)
-    if nu is None:
-        nu = ch.nx + 1
-    if a == b:
-        return OrderingReport("less_noisy", (a, b), True, 0.0,
-                              np.full((nu, ch.nx), 1.0 / (nu * ch.nx)),
+    _check_args(a, b, restarts)
+    nx = ch.nx
+    gap, witness = 0.0, np.full((2, nx), 1.0 / (2 * nx))
+    if a == b or nx == 1:
+        return OrderingReport("less_noisy", (a, b), True, gap, witness,
                               ch.sha256)
-    wa = ch.marginal_to(a)
-    wb = ch.marginal_to(b)
-
-    def mi_aux(pux: np.ndarray, w: np.ndarray) -> float:
-        puy = pux @ w               # p(u, y)
-        pu = puy.sum(axis=1)
-        py = puy.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = np.maximum(np.outer(pu, py), 1e-300)
-            terms = np.where(puy > 0, puy * np.log(puy / denom), 0.0)
-        return float(terms.sum() / _LOG2)
-
-    def objective(flat: np.ndarray) -> float:
-        pux = flat.reshape(nu, ch.nx)
-        # ascend() maximizes; we seek the minimum of the signed difference
-        return mi_aux(pux, wb) - mi_aux(pux, wa)
-
-    def gradient(flat: np.ndarray) -> np.ndarray:
-        pux = flat.reshape(nu, ch.nx)
-
-        def part(w: np.ndarray) -> np.ndarray:
-            puy = np.maximum(pux @ w, 1e-300)
-            py = np.maximum(puy.sum(axis=0), 1e-300)
-            # d I(U;Y)/d p(u,x) = sum_y w[x,y] log(p(y|u)/p(y)), up to const
-            pu = np.maximum(puy.sum(axis=1), 1e-300)
-            logratio = np.log(puy / (pu[:, None] * py[None, :]))
-            return (logratio @ w.T) / _LOG2
-        return (part(wb) - part(wa)).ravel()
-
+    # outputs no input reaches carry no curvature and would divide 0 by 0
+    wa, wb = (w[:, w.any(axis=0)]
+              for w in (ch.marginal_to(a), ch.marginal_to(b)))
+    used_resolution = GRID_RESOLUTION if nx <= GRID_CAP else 0
     rng = np.random.default_rng([seed, 0xABCD])
-    starts = [np.full(nu * ch.nx, 1.0 / (nu * ch.nx))]
-    best_sample, best_sample_val = None, -np.inf
-    for _ in range(samples):
-        p = rng.dirichlet(np.ones(nu * ch.nx))
-        v = objective(p)
-        if v > best_sample_val:
-            best_sample, best_sample_val = p, v
-    if best_sample is not None:
-        starts.append(best_sample)
-    for r in range(restarts):
-        rr = np.random.default_rng([seed, 1 + r])
-        starts.append(rr.dirichlet(np.ones(nu * ch.nx)))
-
-    best_p, best_val = None, -np.inf
-    for p0 in starts:
-        p, v = _ascend(objective, gradient, p0)
-        if v > best_val:
-            best_p, best_val = p, v
-    witness = best_p.reshape(nu, ch.nx)
-    return OrderingReport("less_noisy", (a, b), _band_verdict(best_val),
-                          best_val, witness, ch.sha256, restarts=restarts,
-                          note="numerically certified only up to search effort; "
-                               f"|U|={nu}, samples={samples}")
+    draws = (rng.dirichlet(np.ones(nx), size=min(_CHUNK, 16 * restarts - k))
+             for k in range(0, 16 * restarts, _CHUNK))
+    points = [np.full((1, nx), 1.0 / nx)]
+    if used_resolution > 0:
+        grid = _simplex_grid(nx, used_resolution)
+        points.append(grid[(grid > 0).all(axis=1)])
+    # orthonormal basis of the tangent space {v : sum(v) = 0}
+    basis = np.linalg.qr(np.eye(nx)[:, :-1] - 1.0 / nx)[0]
+    half = np.full(2, 0.5)
+    steps = np.arange(1, _STEPS + 1) / _STEPS
+    scanned = 0
+    for p in itertools.chain(_chunks(np.concatenate(points)), draws):
+        scanned += len(p)
+        hess = (_curvature(p, wb) - _curvature(p, wa)) / _LOG2
+        lam, vec = np.linalg.eigh(basis.T @ hess @ basis)
+        pos = lam[:, -1] > 0
+        if not pos.any():
+            continue
+        p = p[pos]
+        v = vec[pos, :, -1] @ basis.T
+        reach = np.divide(p, np.abs(v), out=np.full_like(p, np.inf),
+                          where=v != 0).min(axis=1)
+        delta = (reach[:, None] * steps)[..., None, None]      # (m, S, 1, 1)
+        # p(x|u) for u = 0, 1 at every step: (m, S, 2, nx)
+        cond = np.maximum(p[:, None, None]
+                          + delta * np.stack([v, -v], axis=1)[:, None], 0.0)
+        score = _mi(half, cond @ wb) - _mi(half, cond @ wa)
+        best = np.unravel_index(np.argmax(score), score.shape)
+        if score[best] > gap:
+            gap, witness = float(score[best]), 0.5 * cond[best]
+    return OrderingReport("less_noisy", (a, b), _band_verdict(gap), gap,
+                          witness, ch.sha256, restarts=restarts,
+                          grid_resolution=used_resolution,
+                          note="numerically certified only up to search "
+                               f"effort; concavity scan of {scanned} "
+                               "input pmfs, |U|=2")
 
 
 @dataclass(frozen=True)

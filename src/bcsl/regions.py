@@ -599,6 +599,8 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
     w = np.asarray(weights, float)
     if w.shape != (5,) or np.any(w < 0) or not np.any(w > 0):
         raise UsageError("weights must be 5 nonnegative reals, not all zero")
+    if cfg.restarts < 1:
+        raise UsageError(f"restarts must be >= 1, got {cfg.restarts}")
     m1, m2, m3 = cfg.sizes(ch.nx)
 
     def evaluate(aux: AuxJoint) -> float | None:

@@ -109,6 +109,28 @@ class TestExitCodes:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("predicate",
+                             ["less_noisy", "more_capable", "implication"])
+    def test_negative_ordering_restarts_is_usage_error(self, predicate,
+                                                       ch_file, capsys):
+        rc = dispatch(["orderings", "--channel", ch_file, "--pair", "1,3",
+                       "--predicate", predicate, "--restarts", "-2",
+                       "--seed", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "restarts" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_frontier_without_restarts_is_usage_error(self, restarts,
+                                                      ch_file, capsys):
+        rc = dispatch(["regions", "frontier", "--channel", ch_file,
+                       "--bound", "inner3dm", "--weights", "1,1,1,1,1",
+                       "--restarts", restarts, "--iters", "1",
+                       "--seed", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "restarts" in captured.err and captured.out == ""
+
     def test_success(self, ch_file, capsys):
         rc = dispatch(["orderings", "--channel", ch_file, "--pair", "1,3",
                        "--predicate", "degraded"])

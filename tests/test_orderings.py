@@ -1,13 +1,22 @@
 """Receiver ordering predicates and the implication chain."""
 
+import importlib.util
+import json
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bcsl.channel_core import Channel3, JointPmf, conditional_mi
+from bcsl.cli import dispatch
 from bcsl.errors import UsageError
 from bcsl.orderings import (implication_check, is_degraded, is_less_noisy,
                             is_more_capable)
 
 from conftest import bsc, cascade_channel, product_channel, random_channel
+
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +88,71 @@ class TestLessNoisy:
         assert is_less_noisy(cascade, 3, 1, seed=0).verdict is False
 
 
+def _stochastic(rng, rows, cols):
+    return rng.dirichlet(np.ones(cols), size=rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(nx=st.integers(2, 4), ny=st.integers(2, 3), nyb=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_degraded_pair_is_less_noisy(nx, ny, nyb, seed):
+    # Y3 = Y1 M for a stochastic M: degraded, so less noisy and more capable
+    rng = np.random.default_rng(seed)
+    w1 = _stochastic(rng, nx, ny)
+    ch = product_channel(w1, _stochastic(rng, nx, 2),
+                         w1 @ _stochastic(rng, ny, nyb))
+    rep = implication_check(ch, 1, 3, restarts=2, seed=seed % 997)
+    assert rep.less_noisy.verdict is True
+    assert rep.consistent, rep.violations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nx=st.integers(2, 4), sizes=st.tuples(*[st.integers(2, 3)] * 3),
+       pair=st.permutations([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+@example(nx=2, sizes=(2, 2, 2), pair=[3, 1, 2], seed=0)
+def test_less_noisy_gap_is_witnessed(nx, sizes, pair, seed):
+    # the reported gap is I(U;Y_b) − I(U;Y_a) of the witness p(u,x), as
+    # the MI engine computes it
+    rng = np.random.default_rng(seed)
+    ch = product_channel(*(_stochastic(rng, nx, ny) for ny in sizes))
+    a, b = pair[:2]
+    rep = is_less_noisy(ch, a, b, restarts=2, seed=seed % 997)
+    assert rep.witness.shape == (2, nx)
+
+    def mi(w):
+        j = JointPmf(("U", "X", "Y"), rep.witness[:, :, None] * w[None])
+        return conditional_mi(j, ["U"], ["Y"], [])
+
+    assert rep.gap >= 0.0
+    assert rep.gap == pytest.approx(
+        mi(ch.marginal_to(b)) - mi(ch.marginal_to(a)), abs=1e-12)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", _PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_orderings_agree_with_benchmark_refs(tmp_path, capsys):
+    # every verdict triple of one key of the orderings benchmark equals the
+    # reference made at the seed commit
+    workloads = _load_workloads()
+    ref = json.loads((_PERFBENCH / "refs" / "orderings.json").read_text())
+    ref = ref["keys"]["0"]
+    plan = workloads.plan("orderings", 0)
+    indir, outdir = str(tmp_path / "in"), str(tmp_path / "out")
+    (tmp_path / "out").mkdir()
+    assert workloads.write_inputs(plan, indir) == ref["inputs"]
+    for cmd in plan["commands"]:
+        assert dispatch(workloads.expand(cmd["argv"], indir, outdir)) == 0
+        got = workloads.observe("orderings", cmd, outdir)
+        assert got == ref["commands"][cmd["id"]], cmd["id"]
+    capsys.readouterr()
+
+
 class TestImplicationChain:
     def test_cascade_consistent(self, cascade):
         rep = implication_check(cascade, 1, 3, seed=0)
@@ -86,6 +160,23 @@ class TestImplicationChain:
         assert rep.degraded.verdict is True
         assert rep.less_noisy.verdict is True
         assert rep.more_capable.verdict is True
+
+    def test_single_input_letter(self):
+        ch = Channel3(1, 2, 2, 2, np.full((1, 2, 2, 2), 1 / 8))
+        rep = implication_check(ch, 1, 3, restarts=2, seed=0)
+        assert rep.consistent
+        assert all(r.verdict is True and r.gap == 0.0 for r in
+                   (rep.degraded, rep.less_noisy, rep.more_capable))
+
+    def test_unreachable_output_symbol(self):
+        # Y1's third symbol has probability 0 under every input
+        w1 = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]])
+        ch = product_channel(w1, bsc(0.1), np.array([[0.7, 0.3], [0.4, 0.6]]))
+        forward = implication_check(ch, 1, 3, restarts=2, seed=0)
+        backward = implication_check(ch, 3, 1, restarts=2, seed=0)
+        assert forward.consistent and backward.consistent
+        assert forward.less_noisy.verdict is True
+        assert backward.less_noisy.verdict is False
 
     def test_random_channels_consistent(self, rng):
         for k in range(20):
