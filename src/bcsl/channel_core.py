@@ -71,19 +71,23 @@ class JointPmf:
             idx.append(self.axes.index(name))
         return idx
 
-    def marginal(self, keep: Sequence[str]) -> "JointPmf":
-        """Marginalize onto the named axes (in the given order)."""
+    def _project(self, keep: Sequence[str]) -> np.ndarray:
+        """Unvalidated marginal array over the named axes, in that order."""
         keep = list(keep)
+        if len(set(keep)) != len(keep):
+            raise ValidationError(f"JointPmf: duplicate axis names in {keep}")
         self._axis_indices(keep)  # validates
         drop = [i for i, a in enumerate(self.axes) if a not in keep]
         reduced = self.probs.sum(axis=tuple(drop)) if drop else self.probs
         remaining = [a for a in self.axes if a in keep]
-        # reorder to requested order
-        perm = [remaining.index(a) for a in keep]
-        return JointPmf(keep, np.transpose(reduced, perm))
+        return np.transpose(reduced, [remaining.index(a) for a in keep])
+
+    def marginal(self, keep: Sequence[str]) -> "JointPmf":
+        """Marginalize onto the named axes (in the given order)."""
+        return JointPmf(keep, self._project(keep))
 
     def group_entropy(self, names: Sequence[str]) -> float:
-        return tensor_entropy(self.marginal(names).probs)
+        return tensor_entropy(self._project(names))
 
 
 def tensor_entropy(p: np.ndarray) -> float:

@@ -57,32 +57,6 @@ class AuxJoint:
             raise ValidationError(f"aux joint sums to {arr.sum()!r}, not 1")
         object.__setattr__(self, "p", arr)
 
-    @staticmethod
-    def from_factors(p_u1: np.ndarray, p_u2_given_u1: np.ndarray,
-                     p_xu3_given_u2: np.ndarray) -> "AuxJoint":
-        """Build from the factorization p(u1) p(u2|u1) p(x,u3|u2)."""
-        p_u1 = np.asarray(p_u1, float)
-        p21 = np.asarray(p_u2_given_u1, float)        # (m1, m2)
-        p32 = np.asarray(p_xu3_given_u2, float)       # (m2, m3, nx)
-        joint = np.einsum("a,ab,bcx->abcx", p_u1, p21, p32)
-        m1, m2 = p21.shape
-        _, m3, nx = p32.shape
-        return AuxJoint(m1, m2, m3, nx, joint)
-
-    @staticmethod
-    def random_factorized(rng: np.random.Generator, m1: int, m2: int,
-                          m3: int, nx: int) -> "AuxJoint":
-        """Sample an auxiliary with all required Markov chains holding by
-        construction.
-
-        The admissible joints factor simultaneously as p(u1)p(u2|u1)p(x,u3|u2)
-        and p(u1)p(u3|u1)p(x,u2|u3), which forces U1 to be recoverable from U2
-        and from U3 alone.  The sampler realizes this by partitioning the U2
-        and U3 alphabets among the U1 values and drawing Dirichlet factors on
-        each block (see :class:`FactorBlocks`).
-        """
-        return FactorBlocks.random(rng, m1, m2, m3, nx).to_aux()
-
     def joint_pmf(self) -> JointPmf:
         return JointPmf(("U1", "U2", "U3", "X"), self.p)
 
@@ -129,6 +103,15 @@ class FactorBlocks:
     @classmethod
     def random(cls, rng: np.random.Generator, m1: int, m2: int, m3: int,
                nx: int) -> "FactorBlocks":
+        """Sample an auxiliary with all required Markov chains holding by
+        construction.
+
+        The admissible joints factor simultaneously as p(u1)p(u2|u1)p(x,u3|u2)
+        and p(u1)p(u3|u1)p(x,u2|u3), which forces U1 to be recoverable from U2
+        and from U3 alone.  The sampler realizes this by partitioning the U2
+        and U3 alphabets among the U1 values and drawing Dirichlet factors on
+        each block.
+        """
         cls._check_sizes(m1, m2, m3)
         own2 = cls.owners(m2, m1)
         own3 = cls.owners(m3, m1)
@@ -214,9 +197,6 @@ class RateTuple:
         return {"R0": self.r0, "R1": self.r1, "R1e": self.r1e,
                 "R2": self.r2, "R2e": self.r2e}
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.r0, self.r1, self.r1e, self.r2, self.r2e])
-
 
 @dataclass(frozen=True)
 class PolytopeRow:
@@ -300,12 +280,18 @@ class BoundTemplate:
 
     rows: (tag, rate coefficients, RHS terms) per polytope row;
     conditions: (tag, LHS terms, RHS terms) per constants-only row;
-    free_symbols: the rates the rows use (the others are pinned to zero).
+    free_symbols: the rates the rows use (the others are pinned to zero);
+    constants: the (A, B, C) groups of each MI constant the rows name;
+    a_ub: the rows' rate coefficients, then R1e <= R1 and R2e <= R2;
+    a_eq: one row per pinned rate, in RATE_SYMBOLS order.
     """
 
     rows: tuple[tuple[str, tuple[tuple[str, int], ...], Terms], ...]
     conditions: tuple[tuple[str, Terms, Terms], ...]
     free_symbols: tuple[str, ...]
+    constants: Mapping[str, tuple[tuple[str, ...], ...]]
+    a_ub: np.ndarray
+    a_eq: np.ndarray
 
 
 def _int_coeff(tag: str, sym: str, c: Fraction) -> int:
@@ -333,8 +319,20 @@ def _compile(bound: BoundId) -> BoundTemplate:
                   and any(s in _SECRECY_RATES for s, _ in rates)):
             rows.append((ineq.tag, rates, tuple((-c, s) for c, s in consts)))
     used = {s for _, rates, _ in rows for s, _ in rates}
-    return BoundTemplate(tuple(rows), tuple(conditions),
-                         tuple(s for s in RATE_SYMBOLS if s in used))
+    free = tuple(s for s in RATE_SYMBOLS if s in used)
+    terms = [t for _, _, ts in rows for t in ts]
+    terms += [t for _, lhs, rhs in conditions for t in lhs + rhs]
+    constants = {name: parse_mi_name(name) for _, name in terms}
+
+    ub = [dict(rates) for _, rates, _ in rows]
+    ub += [{"R1e": 1, "R1": -1}, {"R2e": 1, "R2": -1}]
+    a_ub = np.array([[r.get(s, 0) for s in RATE_SYMBOLS] for r in ub], float)
+    a_eq = np.eye(len(RATE_SYMBOLS))[
+        [i for i, s in enumerate(RATE_SYMBOLS) if s not in free]]
+    a_ub.setflags(write=False)
+    a_eq.setflags(write=False)
+    return BoundTemplate(tuple(rows), tuple(conditions), free, constants,
+                         a_ub, a_eq)
 
 
 # --------------------------------------------------------------------------
@@ -354,20 +352,6 @@ def parse_mi_name(name: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[st
     a, b = main.split(";")
     return (tuple(v.strip() for v in a.split(",")),
             tuple(v.strip() for v in b.split(",")), cvars)
-
-
-class MITable:
-    """Caching evaluator of named MI constants on an induced joint pmf."""
-
-    def __init__(self, joint: JointPmf):
-        self.joint = joint
-        self._cache: dict[str, float] = {}
-
-    def __call__(self, name: str) -> float:
-        if name not in self._cache:
-            a, b, c = parse_mi_name(name)
-            self._cache[name] = conditional_mi(self.joint, a, b, c)
-        return self._cache[name]
 
 
 def _require_report(reports: Iterable[OrderingReport] | None, ch: Channel3,
@@ -392,12 +376,35 @@ def _require_report(reports: Iterable[OrderingReport] | None, ch: Channel3,
         "for the pair or evaluate with override=True")
 
 
+def _preconditions(bound: BoundId, ch: Channel3,
+                   reports: Sequence[OrderingReport] | None,
+                   override: bool) -> list[str]:
+    """Check the channel orderings the bound assumes; return its notes."""
+    notes: list[str] = []
+    if bound in (BoundId.OUTER_3DM, BoundId.OUTER_TYPE1):
+        notes += _require_report(reports, ch, "more_capable", (1, 3),
+                                 "receiver 1 is more capable than receiver 3",
+                                 override)
+        notes.append("more-capable precondition applied to the whole bound, "
+                     "not only the secrecy rows")
+        notes.append("single-auxiliary outer-bound certificate point, "
+                     "not the region")
+    if bound is BoundId.REGION_TYPE2:
+        notes += _require_report(reports, ch, "less_noisy", (1, 3),
+                                 "receiver 1 is less noisy than receiver 3",
+                                 override)
+        notes += _require_report(reports, ch, "less_noisy", (2, 3),
+                                 "receiver 2 is less noisy than receiver 3",
+                                 override)
+    return notes
+
+
 def eval_bound(bound: BoundId, ch: Channel3, aux: AuxJoint, *,
                ordering_reports: Sequence[OrderingReport] | None = None,
                override: bool = False) -> RatePolytope:
-    """Instantiate every inequality of the named bound at (ch, aux)."""
-    if not isinstance(bound, BoundId):
-        bound = BoundId(bound)
+    """Instantiate every inequality of the named bound at (ch, aux), after
+    checking the input alphabet, every Markov chain and the orderings."""
+    bound = BoundId(bound)
     if aux.nx != ch.nx:
         raise ValidationError(f"aux input alphabet {aux.nx} != channel {ch.nx}")
     residuals = check_markov(aux)
@@ -406,33 +413,19 @@ def eval_bound(bound: BoundId, ch: Channel3, aux: AuxJoint, *,
         chain, r = bad[0]
         raise ValidationError(
             f"auxiliary violates Markov chain {chain}: residual {r:.3e} bits")
-
-    notes: list[str] = []
-    if bound in (BoundId.OUTER_3DM, BoundId.OUTER_TYPE1):
-        notes += _require_report(ordering_reports, ch, "more_capable", (1, 3),
-                                 "receiver 1 is more capable than receiver 3",
-                                 override)
-        notes.append("more-capable precondition applied to the whole bound, "
-                     "not only the secrecy rows")
-        notes.append("single-auxiliary outer-bound certificate point, "
-                     "not the region")
-    if bound is BoundId.REGION_TYPE2:
-        notes += _require_report(ordering_reports, ch, "less_noisy", (1, 3),
-                                 "receiver 1 is less noisy than receiver 3",
-                                 override)
-        notes += _require_report(ordering_reports, ch, "less_noisy", (2, 3),
-                                 "receiver 2 is less noisy than receiver 3",
-                                 override)
-
-    return _instantiate(bound, MITable(induced_joint(ch, aux)), notes)
+    notes = _preconditions(bound, ch, ordering_reports, override)
+    return _instantiate(bound, induced_joint(ch, aux), notes)
 
 
-def _instantiate(bound: BoundId, mi: MITable, notes: Sequence[str] = ()
+def _instantiate(bound: BoundId, joint: JointPmf, notes: Sequence[str] = ()
                  ) -> RatePolytope:
+    """The bound's rows at `joint`, with no check of the auxiliary."""
     t = _compile(bound)
+    mi = {name: conditional_mi(joint, *groups)
+          for name, groups in t.constants.items()}
 
     def value(terms: Terms) -> float:
-        return sum(c * mi(name) for c, name in terms)
+        return sum(c * mi[name] for c, name in terms)
 
     rows = tuple(PolytopeRow(tag, rates, value(terms))
                  for tag, rates, terms in t.rows)
@@ -514,11 +507,10 @@ def eval_cor3_match(ch: Channel3, p_ux: np.ndarray, *,
                     "receiver 1 is less noisy than receiver 3", override)
     _require_report(ordering_reports, ch, "less_noisy", (2, 3),
                     "receiver 2 is less noisy than receiver 3", override)
-    aux = type2_aux(p_ux, ch.nx)
-    mi = MITable(induced_joint(ch, aux))
-    inner = _instantiate(BoundId.INNER_3DM, mi)
-    outer = _instantiate(BoundId.OUTER_3DM, mi)
-    region = _instantiate(BoundId.REGION_TYPE2, mi)
+    joint = induced_joint(ch, type2_aux(p_ux, ch.nx))
+    inner = _instantiate(BoundId.INNER_3DM, joint)
+    outer = _instantiate(BoundId.OUTER_3DM, joint)
+    region = _instantiate(BoundId.REGION_TYPE2, joint)
 
     out_rows = tuple(
         Cor3MatchRow(reg_tag, region.row(reg_tag).rhs,
@@ -531,6 +523,10 @@ def eval_cor3_match(ch: Channel3, p_ux: np.ndarray, *,
 # weighted-rate maximization
 
 
+# scale of the Gaussian noise one hill-climbing step adds to a block
+PERTURB_STEP = 0.25
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     m1: int | None = None     # default nx + 1
@@ -538,43 +534,35 @@ class SearchConfig:
     m3: int | None = None
     restarts: int = 16
     iters: int = 60
-    step: float = 0.25
     seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("m1", 1), ("m2", 1), ("m3", 1), ("restarts", 1),
+                          ("iters", 0)):
+            v = getattr(self, name)
+            if v is not None and v < low:
+                raise UsageError(f"{name} must be >= {low}, got {v}")
 
     def sizes(self, nx: int) -> tuple[int, int, int]:
         d = nx + 1
-        return (self.m1 or d, self.m2 or d, self.m3 or d)
+        return tuple(d if m is None else m
+                     for m in (self.m1, self.m2, self.m3))
 
 
 def polytope_lp(pol: RatePolytope, weights: Sequence[float]
                 ) -> tuple[RateTuple, float] | None:
     """Maximize weights . r over the polytope plus the rate-tuple
     invariants (nonnegativity, R1e <= R1, R2e <= R2, pinned rates = 0).
-    Returns None when infeasible."""
+    Returns None when infeasible.
+
+    The constraint matrices are the ones compiled for ``pol.bound``, so
+    ``pol`` must be an instance of that bound (from ``eval_bound``)."""
     w = np.asarray(weights, float)
-    idx = {s: i for i, s in enumerate(RATE_SYMBOLS)}
-    a_ub, b_ub = [], []
-    for row in pol.rows:
-        coeff = np.zeros(5)
-        for s, c in row.coeffs:
-            coeff[idx[s]] = c
-        a_ub.append(coeff)
-        b_ub.append(row.rhs)
-    for e_sym, r_sym in (("R1e", "R1"), ("R2e", "R2")):
-        coeff = np.zeros(5)
-        coeff[idx[e_sym]], coeff[idx[r_sym]] = 1.0, -1.0
-        a_ub.append(coeff)
-        b_ub.append(0.0)
-    a_eq, b_eq = [], []
-    for s in set(RATE_SYMBOLS) - set(pol.free_symbols):
-        coeff = np.zeros(5)
-        coeff[idx[s]] = 1.0
-        a_eq.append(coeff)
-        b_eq.append(0.0)
-    res = linprog(-w, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(a_eq) if a_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
-                  bounds=[(0, None)] * 5, method="highs")
+    t = _compile(BoundId(pol.bound))
+    b_ub = np.array([row.rhs for row in pol.rows] + [0.0, 0.0])
+    res = linprog(-w, A_ub=t.a_ub, b_ub=b_ub, A_eq=t.a_eq,
+                  b_eq=np.zeros(len(t.a_eq)), bounds=[(0, None)] * 5,
+                  method="highs")
     if not res.success:
         return None
     vals = np.maximum(res.x, 0.0)
@@ -593,20 +581,22 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
     """Best weighted rate found by LP over the polytope at each auxiliary,
     with the auxiliary improved by random-restart coordinate perturbation.
 
+    Searched auxiliaries are FactorBlocks, Markov by construction, so only
+    the reported one goes through eval_bound's gate.
+
     The result is a lower bound on the true optimum for inner bounds and a
     heuristic certificate point for outer bounds.
     """
+    bound = BoundId(bound)
     w = np.asarray(weights, float)
     if w.shape != (5,) or np.any(w < 0) or not np.any(w > 0):
         raise UsageError("weights must be 5 nonnegative reals, not all zero")
-    if cfg.restarts < 1:
-        raise UsageError(f"restarts must be >= 1, got {cfg.restarts}")
     m1, m2, m3 = cfg.sizes(ch.nx)
+    notes = _preconditions(bound, ch, ordering_reports, override)
 
     def evaluate(aux: AuxJoint) -> float | None:
-        pol = eval_bound(bound, ch, aux, ordering_reports=ordering_reports,
-                         override=override)
-        sol = polytope_lp(pol, w)
+        sol = polytope_lp(_instantiate(bound, induced_joint(ch, aux), notes),
+                          w)
         return None if sol is None else sol[1]
 
     best: tuple[float, int, AuxJoint] | None = None
@@ -619,7 +609,7 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
         if val is None:
             continue
         for _ in range(cfg.iters):
-            cand = state.perturbed(rng, cfg.step)
+            cand = state.perturbed(rng, PERTURB_STEP)
             caux = cand.to_aux()
             cval = evaluate(caux)
             if cval is not None and cval > val + 1e-12:

@@ -1,12 +1,18 @@
 """Shared builders for the test suite."""
 
+import importlib.util
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from bcsl.channel_core import Channel3
+from bcsl.cli import dispatch
 from bcsl.regions import AuxJoint
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def bsc(p: float) -> np.ndarray:
@@ -68,3 +74,22 @@ def uniform_binary_input_aux() -> AuxJoint:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)
+
+
+def check_benchmark_key0(workload: str, tmp_path: pathlib.Path) -> None:
+    """Run key 0 of a perfbench workload through the CLI and assert that its
+    inputs and every observed output equal the stored reference."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ref = json.loads((PERFBENCH / "refs" / f"{workload}.json").read_text())
+    ref = ref["keys"]["0"]
+    plan = workloads.plan(workload, 0)
+    indir, outdir = str(tmp_path / "in"), str(tmp_path / "out")
+    (tmp_path / "out").mkdir()
+    assert workloads.write_inputs(plan, indir) == ref["inputs"]
+    for cmd in plan["commands"]:
+        assert dispatch(workloads.expand(cmd["argv"], indir, outdir)) == 0
+        got = workloads.observe(workload, cmd, outdir)
+        assert got == ref["commands"][cmd["id"]], cmd["id"]

@@ -13,7 +13,7 @@ from bcsl.codec_sim import (CodeConfig, build_codebook, exact_equivocation,
                             secrecy_gap_study, simulate)
 from bcsl.fme import appendix_reduction, derive_inner_bound, derive_type1_bound
 from bcsl.orderings import implication_check, is_less_noisy
-from bcsl.regions import AuxJoint, BoundId, eval_bound, eval_cor3_match
+from bcsl.regions import BoundId, FactorBlocks, eval_bound, eval_cor3_match
 from bcsl.errors import ValidationError
 
 from conftest import (bsc, cascade_channel, identical_y1_y3_channel,
@@ -67,7 +67,7 @@ def test_criterion_04_no_secrecy_when_y1_equals_y3():
     worst = -np.inf
     for _ in range(20):
         ch = identical_y1_y3_channel(rng)
-        aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
+        aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
         pol = eval_bound(BoundId.INNER_3DM, ch, aux)
         r1e_cap = min(pol.row("r1e_via_y2").rhs, pol.row("r1e_via_y1").rhs)
         worst = max(worst, r1e_cap, abs(pol.row("r2e_cap").rhs),

@@ -131,6 +131,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "restarts" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--m1", "-1"), ("--m1", "0"), ("--m2", "0"), ("--m3", "0"),
+        ("--iters", "-5")])
+    def test_bad_frontier_search_size_is_usage_error(self, flag, value,
+                                                     ch_file, capsys):
+        rc = dispatch(["regions", "frontier", "--channel", ch_file,
+                       "--bound", "inner3dm", "--weights", "1,1,1,1,1",
+                       "--restarts", "1", "--iters", "1", flag, value,
+                       "--seed", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert flag[2:] in captured.err and captured.out == ""
+
     def test_success(self, ch_file, capsys):
         rc = dispatch(["orderings", "--channel", ch_file, "--pair", "1,3",
                        "--predicate", "degraded"])

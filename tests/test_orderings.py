@@ -1,22 +1,16 @@
 """Receiver ordering predicates and the implication chain."""
 
-import importlib.util
-import json
-import pathlib
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bcsl.channel_core import Channel3, JointPmf, conditional_mi
-from bcsl.cli import dispatch
 from bcsl.errors import UsageError
 from bcsl.orderings import (implication_check, is_degraded, is_less_noisy,
                             is_more_capable)
 
-from conftest import bsc, cascade_channel, product_channel, random_channel
-
-_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import (bsc, cascade_channel, check_benchmark_key0,
+                      product_channel, random_channel)
 
 
 @pytest.fixture(scope="module")
@@ -128,28 +122,10 @@ def test_less_noisy_gap_is_witnessed(nx, sizes, pair, seed):
         mi(ch.marginal_to(b)) - mi(ch.marginal_to(a)), abs=1e-12)
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", _PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_orderings_agree_with_benchmark_refs(tmp_path, capsys):
     # every verdict triple of one key of the orderings benchmark equals the
     # reference made at the seed commit
-    workloads = _load_workloads()
-    ref = json.loads((_PERFBENCH / "refs" / "orderings.json").read_text())
-    ref = ref["keys"]["0"]
-    plan = workloads.plan("orderings", 0)
-    indir, outdir = str(tmp_path / "in"), str(tmp_path / "out")
-    (tmp_path / "out").mkdir()
-    assert workloads.write_inputs(plan, indir) == ref["inputs"]
-    for cmd in plan["commands"]:
-        assert dispatch(workloads.expand(cmd["argv"], indir, outdir)) == 0
-        got = workloads.observe("orderings", cmd, outdir)
-        assert got == ref["commands"][cmd["id"]], cmd["id"]
+    check_benchmark_key0("orderings", tmp_path)
     capsys.readouterr()
 
 

@@ -4,18 +4,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcsl.channel_core import conditional_mi, induced_joint
 from bcsl.errors import PreconditionError, UsageError, ValidationError
 from bcsl.fme import is_constant_symbol, load_fixture
 from bcsl.orderings import is_less_noisy, is_more_capable
-from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, RateTuple,
-                          SearchConfig, _FIXTURES, check_markov, eval_bound,
+from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, PERTURB_STEP,
+                          RateTuple, SearchConfig, _FIXTURES, _instantiate,
+                          _preconditions, check_markov, eval_bound,
                           eval_cor3_match, max_weighted_rate, parse_mi_name,
                           polytope_lp)
 
-from conftest import (cascade_channel, identical_y1_y3_channel,
-                      noiseless_identical_channel, random_channel)
+from conftest import (cascade_channel, check_benchmark_key0,
+                      identical_y1_y3_channel, noiseless_identical_channel,
+                      random_channel)
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +38,27 @@ def ln_reports(cascade):
 
 
 class TestAuxJoint:
-    def test_sampler_satisfies_all_chains(self, rng):
-        for _ in range(10):
-            aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
-            assert all(r <= 1e-12 for _, r in check_markov(aux))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(m1=st.integers(1, 3), extra2=st.integers(0, 3),
+           extra3=st.integers(0, 3), nx=st.integers(2, 3),
+           steps=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_sampler_satisfies_all_chains(self, m1, extra2, extra3, nx,
+                                          steps, seed):
+        # the search scores FactorBlocks auxiliaries without eval_bound's
+        # Markov gate; that is sound only because every member, perturbed
+        # or not, passes the gate and evaluates exactly as through it
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, nx, 2, 2, 2)
+        state = FactorBlocks.random(rng, m1, m1 + extra2, m1 + extra3, nx)
+        for _ in range(steps):
+            state = state.perturbed(rng, PERTURB_STEP)
+        aux = state.to_aux()
+        assert all(r <= 1e-12 for _, r in check_markov(aux))
+        joint = induced_joint(ch, aux)
+        for bound in BoundId:
+            notes = _preconditions(bound, ch, None, True)
+            assert _instantiate(bound, joint, notes) == eval_bound(
+                bound, ch, aux, override=True)
 
     def test_independent_variables_zero_residual(self):
         p = np.full((2, 2, 2, 2), 1 / 16)
@@ -77,7 +97,7 @@ class TestEvalBound:
         # every row and side condition of every bound equals its fixture
         # inequality, recomputed independently from the raw joint
         for _ in range(5):
-            aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
+            aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
             j = induced_joint(cascade, aux)
 
             def consts(ineq):
@@ -104,7 +124,7 @@ class TestEvalBound:
                         consts(fixture[sc.tag]), abs=1e-10)
 
     def test_label_permutation_invariance(self, rng, cascade):
-        aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
+        aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
         perm = [2, 0, 1]
         permuted = AuxJoint(2, 3, 3, 2, aux.p[:, perm, :, :])
         a = eval_bound(BoundId.INNER_3DM, cascade, aux)
@@ -113,13 +133,13 @@ class TestEvalBound:
             assert ra.rhs == pytest.approx(rb.rhs, abs=1e-12)
 
     def test_u3_constant_zeroes_common_rate(self, rng, cascade):
-        aux = AuxJoint.random_factorized(rng, 1, 2, 1, 2)
+        aux = FactorBlocks.random(rng, 1, 2, 1, 2).to_aux()
         pol = eval_bound(BoundId.INNER_3DM, cascade, aux)
         assert pol.row("common").rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_secrecy_y1_equals_y3(self, rng):
         ch = identical_y1_y3_channel(rng)
-        aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
+        aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
         pol = eval_bound(BoundId.INNER_3DM, ch, aux)
         r1e = min(pol.row("r1e_via_y2").rhs, pol.row("r1e_via_y1").rhs)
         assert r1e <= 1e-9
@@ -127,7 +147,7 @@ class TestEvalBound:
         assert abs(pol.row("joint_secrecy").rhs) <= 1e-9
 
     def test_both_r1e_ceilings_emitted(self, rng, cascade):
-        aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
+        aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
         pol = eval_bound(BoundId.INNER_3DM, cascade, aux)
         tags = {r.tag for r in pol.rows}
         assert {"r1e_via_y2", "r1e_via_y1"} <= tags
@@ -143,7 +163,7 @@ class TestEvalBound:
             eval_bound(BoundId.INNER_3DM, cascade, AuxJoint(2, 1, 2, 2, p))
 
     def test_outer_needs_ordering_report(self, rng, cascade, mc13):
-        aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
+        aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
         with pytest.raises(PreconditionError):
             eval_bound(BoundId.OUTER_3DM, cascade, aux)
         pol = eval_bound(BoundId.OUTER_3DM, cascade, aux,
@@ -156,7 +176,7 @@ class TestEvalBound:
         # LP inclusion: max of any (R0,R1,R2) objective under Outer3DM is
         # at most the same max under OuterNoSecrecy
         for _ in range(5):
-            aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
+            aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
             full = eval_bound(BoundId.OUTER_3DM, cascade, aux,
                               ordering_reports=[mc13])
             nosec = eval_bound(BoundId.OUTER_NO_SECRECY, cascade, aux)
@@ -214,7 +234,7 @@ def _vertex_enum_max(pol, w):
 
 class TestPolytopeLp:
     def test_matches_vertex_enumeration(self, rng, cascade):
-        aux = AuxJoint.random_factorized(rng, 2, 3, 3, 2)
+        aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
         pol = eval_bound(BoundId.INNER_3DM, cascade, aux)
         for _ in range(4):
             w = rng.random(5)
@@ -274,3 +294,10 @@ class TestMaxWeightedRate:
     def test_weights_validation(self, cascade):
         with pytest.raises(UsageError):
             max_weighted_rate(BoundId.INNER_3DM, cascade, [0, 0, 0, 0, 0])
+
+
+def test_frontier_agrees_with_benchmark_refs(tmp_path, capsys):
+    # the CSV and auxiliary sidecar of both frontier commands of one key of
+    # the frontier benchmark are byte-identical to the seed-commit reference
+    check_benchmark_key0("frontier", tmp_path)
+    capsys.readouterr()
