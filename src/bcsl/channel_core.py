@@ -23,6 +23,8 @@ NORM_TOL = 1e-12
 # Information quantities down to this far below zero are float noise and
 # clamp to zero; anything lower indicates a real bug and raises.
 HARD_TOL = 1e-6
+# axes of the joint law that an auxiliary induces through the channel
+JOINT_AXES = ("U1", "U2", "U3", "X", "Y1", "Y2", "Y3")
 
 
 def _check_probs(p: np.ndarray, what: str) -> None:
@@ -207,4 +209,4 @@ def induced_joint(ch: Channel3, aux: AuxJoint) -> JointPmf:
         raise UsageError(
             f"induced_joint: aux X alphabet {a.shape[3]} != channel nx {ch.nx}")
     joint = np.einsum("abcx,xijk->abcxijk", a, ch.p)
-    return JointPmf(("U1", "U2", "U3", "X", "Y1", "Y2", "Y3"), joint)
+    return JointPmf(JOINT_AXES, joint)

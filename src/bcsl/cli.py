@@ -238,9 +238,10 @@ def cmd_regions_frontier(args) -> int:
                   [args.channel] + (args.ordering_report or []))
     cfg = SearchConfig(restarts=args.restarts, iters=args.iters,
                        seed=args.seed, m1=args.m1, m2=args.m2, m3=args.m3)
-    rate, aux, value = max_weighted_rate(
+    rate, aux, value, effort = max_weighted_rate(
         BoundId(args.bound), ch, w, cfg, ordering_reports=reports,
         override=args.override)
+    em.manifest.extras["search"] = asdict(effort)
     r = rate.as_dict()
     # the sidecar goes first, so a failed write prints no primary output
     sidecar = args.aux_out or ((args.out or "frontier") + ".aux.json")

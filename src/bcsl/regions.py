@@ -13,6 +13,7 @@ auxiliary is a single certificate point, never the region itself.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,7 +22,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .channel_core import Channel3, JointPmf, NORM_TOL, conditional_mi, induced_joint
+from .channel_core import (HARD_TOL, JOINT_AXES, NORM_TOL, Channel3, JointPmf,
+                           conditional_mi, induced_joint)
 from .errors import PreconditionError, UsageError, ValidationError
 from .fme import is_constant_symbol, load_fixture
 from .orderings import OrderingReport
@@ -284,6 +286,15 @@ class BoundTemplate:
     constants: the (A, B, C) groups of each MI constant the rows name;
     a_ub: the rows' rate coefficients, then R1e <= R1 and R2e <= R2;
     a_eq: one row per pinned rate, in RATE_SYMBOLS order.
+
+    The search-path scorer's tables:
+    entropy_sets: each axis set whose entropy some constant needs, in
+    JOINT_AXES order;
+    mi_from_h: constants (in ``constants`` order) = mi_from_h @ entropies;
+    rhs_from_mi: the rhs of each a_ub row = rhs_from_mi @ constants;
+    row_group: the group of each a_ub row, rows with equal free-rate
+    coefficients forming one group;
+    a_groups: each group's coefficients on the free rates.
     """
 
     rows: tuple[tuple[str, tuple[tuple[str, int], ...], Terms], ...]
@@ -292,6 +303,11 @@ class BoundTemplate:
     constants: Mapping[str, tuple[tuple[str, ...], ...]]
     a_ub: np.ndarray
     a_eq: np.ndarray
+    entropy_sets: tuple[tuple[str, ...], ...]
+    mi_from_h: np.ndarray
+    rhs_from_mi: np.ndarray
+    row_group: np.ndarray
+    a_groups: np.ndarray
 
 
 def _int_coeff(tag: str, sym: str, c: Fraction) -> int:
@@ -318,6 +334,13 @@ def _compile(bound: BoundId) -> BoundTemplate:
         elif not (bound is BoundId.OUTER_NO_SECRECY
                   and any(s in _SECRECY_RATES for s, _ in rates)):
             rows.append((ineq.tag, rates, tuple((-c, s) for c, s in consts)))
+    for tag, rates, terms in rows:
+        # the scorer's feasibility rule: r = 0 is feasible iff every rhs
+        # is >= 0, which needs every row with constants to be nonnegative
+        if terms and any(c < 0 for _, c in rates):
+            raise ValidationError(
+                f"bound row {tag}: negative rate coefficient in a row with "
+                "information constants")
     used = {s for _, rates, _ in rows for s, _ in rates}
     free = tuple(s for s in RATE_SYMBOLS if s in used)
     terms = [t for _, _, ts in rows for t in ts]
@@ -329,10 +352,138 @@ def _compile(bound: BoundId) -> BoundTemplate:
     a_ub = np.array([[r.get(s, 0) for s in RATE_SYMBOLS] for r in ub], float)
     a_eq = np.eye(len(RATE_SYMBOLS))[
         [i for i, s in enumerate(RATE_SYMBOLS) if s not in free]]
-    a_ub.setflags(write=False)
-    a_eq.setflags(write=False)
+
+    sets: dict[tuple[str, ...], int] = {}     # axis set -> entropy column
+    entries = []                              # (constant, column, sign)
+    for i, (a, b, c) in enumerate(constants.values()):
+        # conditional_mi: H(A,C) + H(B,C) - H(A,B,C) - H(C), with H() = 0
+        for group, sign in ((a + c, 1), (b + c, 1), (a + b + c, -1), (c, -1)):
+            if group:
+                key = tuple(v for v in JOINT_AXES if v in group)
+                entries.append((i, sets.setdefault(key, len(sets)), sign))
+    mi_from_h = np.zeros((len(constants), len(sets)))
+    for i, j, sign in entries:
+        mi_from_h[i, j] += sign
+    col = {name: j for j, name in enumerate(constants)}
+    rhs_from_mi = np.zeros((len(ub), len(constants)))
+    for i, (_, _, ts) in enumerate(rows):
+        for c, name in ts:
+            rhs_from_mi[i, col[name]] += c
+    a_groups, row_group = np.unique(
+        a_ub[:, [RATE_SYMBOLS.index(s) for s in free]], axis=0,
+        return_inverse=True)
+
+    for arr in (a_ub, a_eq, mi_from_h, rhs_from_mi, row_group, a_groups):
+        arr.setflags(write=False)
     return BoundTemplate(tuple(rows), tuple(conditions), free, constants,
-                         a_ub, a_eq)
+                         a_ub, a_eq, tuple(sets), mi_from_h, rhs_from_mi,
+                         row_group, a_groups)
+
+
+# HiGHS's default primal feasibility tolerance: polytope_lp finds the
+# polytope feasible when no rhs is below -LP_FEAS_TOL
+LP_FEAS_TOL = 1e-7
+# bases of the dual vertex enumeration solved per batch
+_BASIS_CHUNK = 512
+
+
+def _dual_vertices(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The vertices of {y >= 0 : a^T y >= w}, for a of shape (k, n), as rows.
+
+    A vertex is a basic feasible solution of [a^T, -I] (y, s) = w with
+    (y, s) >= 0.  The C(k + n, n) bases are solved in fixed-size chunks, so
+    memory stays flat however many there are."""
+    k, n = a.shape
+    m = np.hstack([a.T, -np.eye(n)])
+    tol = 1e-9 * max(1.0, float(np.abs(w).max(initial=0.0)))
+    found = [np.zeros((0, k))]
+    flat = itertools.chain.from_iterable(
+        itertools.combinations(range(k + n), n))
+    while len(idx := np.fromiter(itertools.islice(flat, _BASIS_CHUNK * n),
+                                 np.intp)):
+        idx = idx.reshape(-1, n)
+        bases = m[:, idx].transpose(1, 0, 2)
+        # integer matrices: a nonsingular basis has |det| >= 1
+        keep = np.abs(np.linalg.det(bases)) > 0.5
+        idx, bases = idx[keep], bases[keep]
+        z = np.linalg.solve(bases, np.broadcast_to(w[:, None],
+                                                   (len(bases), n, 1)))[..., 0]
+        feasible = np.all(z >= -tol, axis=1)
+        y = np.zeros((int(feasible.sum()), k + n))
+        np.put_along_axis(y, idx[feasible], np.maximum(z[feasible], 0.0),
+                          axis=1)
+        found.append(y[:, :k])
+    ys = np.concatenate(found)
+    # degenerate vertices are reached from several bases; keep one each
+    _, first = np.unique(np.round(ys, 9), axis=0, return_index=True)
+    return ys[np.sort(first)]
+
+
+class _Scorer:
+    """The frontier search's score of an auxiliary for one (bound, channel,
+    weights): max w . r over the bound's polytope, None when it is empty.
+
+    Each MI constant comes from a table of the entropies the bound needs.
+    The entropy of an axis set is taken from the aux marginal p(S_U, x)
+    times the channel marginal p(S_Y | x), summed over x when X is not in
+    the set, so the seven-axis joint is never built.  rhs = C @ mi, and g
+    is the least rhs in each group of rows with equal rate coefficients.
+    Every row with constants has nonnegative rate coefficients, and the
+    rest have rhs 0, so r = 0 is feasible iff no rhs is below zero (up to
+    polytope_lp's tolerance).  Then the LP value is the least g . v over
+    the vertices v of the dual polyhedron {y >= 0 : A^T y >= w}, which is
+    enumerated once.  Scores agree with polytope_lp(_instantiate(...)) to
+    about 1e-14, except where HiGHS returns a point that violates a row
+    within its tolerance; the reported auxiliary goes through eval_bound
+    and polytope_lp."""
+
+    def __init__(self, bound: BoundId, ch: Channel3, w: np.ndarray):
+        t = self.t = _compile(bound)
+        free_cols = [RATE_SYMBOLS.index(s) for s in t.free_symbols]
+        self.vertices = _dual_vertices(t.a_groups, w[free_cols])
+        self.sets = []       # (U axes summed out, X kept, p(S_Y | x))
+        for s in t.entropy_sets:
+            drop_u = tuple(i for i, v in enumerate(JOINT_AXES[:3])
+                           if v not in s)
+            drop_y = tuple(i for i, v in enumerate(JOINT_AXES[4:], 1)
+                           if v not in s)
+            py = (None if len(drop_y) == 3
+                  else ch.p.sum(axis=drop_y).reshape(ch.nx, -1))
+            self.sets.append((drop_u, "X" in s, py))
+        self.calls = 0
+        self.infeasible = 0
+
+    def __call__(self, aux: AuxJoint) -> float | None:
+        self.calls += 1
+        marginals: dict[tuple[int, ...], np.ndarray] = {}   # p(S_U, x)
+        joints = []
+        for drop_u, has_x, py in self.sets:
+            pu = marginals.get(drop_u)
+            if pu is None:
+                pu = marginals[drop_u] = aux.p.sum(axis=drop_u).reshape(
+                    -1, aux.nx)
+            joint = pu if py is None else pu[:, :, None] * py[None]
+            joints.append((joint if has_x else joint.sum(axis=1)).ravel())
+        sizes = [j.size for j in joints]
+        flat = np.concatenate(joints)
+        plogp = flat * np.log2(flat, out=np.zeros_like(flat), where=flat > 0)
+        h = -np.add.reduceat(plogp, np.cumsum([0] + sizes[:-1]))
+        mi = self.t.mi_from_h @ h
+        if mi.min() < -HARD_TOL:
+            raise ValidationError(
+                f"conditional mutual information = {mi.min()}: negative "
+                "beyond tolerance")
+        val = self.value(self.t.rhs_from_mi @ np.maximum(mi, 0.0))
+        self.infeasible += val is None
+        return val
+
+    def value(self, rhs: np.ndarray) -> float | None:
+        """The LP value for the rhs of the a_ub rows, None if infeasible."""
+        if rhs.min() < -LP_FEAS_TOL or not len(self.vertices):
+            return None
+        g = np.full(len(self.t.a_groups), np.inf)
+        np.minimum.at(g, self.t.row_group, rhs)
+        return float((self.vertices @ g).min())
 
 
 # --------------------------------------------------------------------------
@@ -556,9 +707,15 @@ def polytope_lp(pol: RatePolytope, weights: Sequence[float]
     Returns None when infeasible.
 
     The constraint matrices are the ones compiled for ``pol.bound``, so
-    ``pol`` must be an instance of that bound (from ``eval_bound``)."""
+    ``pol`` must carry that bound's rows (tags and rate coefficients, in
+    fixture order) and free rates, as ``eval_bound`` builds them."""
     w = np.asarray(weights, float)
     t = _compile(BoundId(pol.bound))
+    if ([(r.tag, r.coeffs) for r in pol.rows]
+            != [(tag, rates) for tag, rates, _ in t.rows]
+            or tuple(pol.free_symbols) != t.free_symbols):
+        raise ValidationError(
+            f"polytope rows or free rates differ from the {pol.bound} bound")
     b_ub = np.array([row.rhs for row in pol.rows] + [0.0, 0.0])
     res = linprog(-w, A_ub=t.a_ub, b_ub=b_ub, A_eq=t.a_eq,
                   b_eq=np.zeros(len(t.a_eq)), bounds=[(0, None)] * 5,
@@ -572,17 +729,30 @@ def polytope_lp(pol: RatePolytope, weights: Sequence[float]
     return r, float(w @ res.x)
 
 
+@dataclass(frozen=True)
+class SearchEffort:
+    """What one frontier search did: auxiliaries scored, how many of them
+    were infeasible, the size of the dual vertex table and the restart
+    whose auxiliary is reported.  For the run manifest, never the output."""
+
+    evaluations: int
+    infeasible: int
+    dual_vertices: int
+    winning_restart: int
+
+
 def max_weighted_rate(bound: BoundId, ch: Channel3,
                       weights: Sequence[float],
                       cfg: SearchConfig = SearchConfig(), *,
                       ordering_reports: Sequence[OrderingReport] | None = None,
                       override: bool = False
-                      ) -> tuple[RateTuple, AuxJoint, float]:
+                      ) -> tuple[RateTuple, AuxJoint, float, SearchEffort]:
     """Best weighted rate found by LP over the polytope at each auxiliary,
     with the auxiliary improved by random-restart coordinate perturbation.
 
-    Searched auxiliaries are FactorBlocks, Markov by construction, so only
-    the reported one goes through eval_bound's gate.
+    Searched auxiliaries are FactorBlocks, Markov by construction, scored
+    by _Scorer; only the reported one goes through eval_bound's gate and
+    the HiGHS solve of polytope_lp.
 
     The result is a lower bound on the true optimum for inner bounds and a
     heuristic certificate point for outer bounds.
@@ -592,12 +762,8 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
     if w.shape != (5,) or np.any(w < 0) or not np.any(w > 0):
         raise UsageError("weights must be 5 nonnegative reals, not all zero")
     m1, m2, m3 = cfg.sizes(ch.nx)
-    notes = _preconditions(bound, ch, ordering_reports, override)
-
-    def evaluate(aux: AuxJoint) -> float | None:
-        sol = polytope_lp(_instantiate(bound, induced_joint(ch, aux), notes),
-                          w)
-        return None if sol is None else sol[1]
+    _preconditions(bound, ch, ordering_reports, override)
+    evaluate = _Scorer(bound, ch, w)
 
     best: tuple[float, int, AuxJoint] | None = None
     for restart in range(cfg.restarts):
@@ -624,11 +790,12 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
         raise ValidationError(
             "polytope infeasible at every searched auxiliary"
             + (f"; violated side conditions: {violated}" if violated else ""))
-    val, _, aux = best
+    _, restart, aux = best
     pol = eval_bound(bound, ch, aux, ordering_reports=ordering_reports,
                      override=override)
     rate, value = polytope_lp(pol, w)
-    return rate, aux, value
+    return rate, aux, value, SearchEffort(
+        evaluate.calls, evaluate.infeasible, len(evaluate.vertices), restart)
 
 
 def _renorm(v: np.ndarray) -> np.ndarray:

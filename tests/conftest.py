@@ -19,6 +19,11 @@ def bsc(p: float) -> np.ndarray:
     return np.array([[1 - p, p], [p, 1 - p]])
 
 
+def ksym(k: int, p: float) -> np.ndarray:
+    """k-ary symmetric channel with total crossover probability p."""
+    return np.full((k, k), p / (k - 1)) + (1 - p - p / (k - 1)) * np.eye(k)
+
+
 def product_channel(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray
                     ) -> Channel3:
     """Independent per-receiver noise: p(y1,y2,y3|x) = Π mk[x][yk]."""
@@ -76,20 +81,21 @@ def rng():
     return np.random.default_rng(20240824)
 
 
-def check_benchmark_key0(workload: str, tmp_path: pathlib.Path) -> None:
-    """Run key 0 of a perfbench workload through the CLI and assert that its
-    inputs and every observed output equal the stored reference."""
+def check_benchmark_key(workload: str, key: int,
+                        tmp_path: pathlib.Path) -> None:
+    """Run one key of a perfbench workload through the CLI and assert that
+    its inputs and every observed output equal the stored reference."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     ref = json.loads((PERFBENCH / "refs" / f"{workload}.json").read_text())
-    ref = ref["keys"]["0"]
-    plan = workloads.plan(workload, 0)
+    ref = ref["keys"][str(key)]
+    plan = workloads.plan(workload, key)
     indir, outdir = str(tmp_path / "in"), str(tmp_path / "out")
     (tmp_path / "out").mkdir()
     assert workloads.write_inputs(plan, indir) == ref["inputs"]
     for cmd in plan["commands"]:
         assert dispatch(workloads.expand(cmd["argv"], indir, outdir)) == 0
         got = workloads.observe(workload, cmd, outdir)
-        assert got == ref["commands"][cmd["id"]], cmd["id"]
+        assert got == ref["commands"][cmd["id"]], (key, cmd["id"])

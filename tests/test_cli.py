@@ -185,6 +185,30 @@ class TestOutputsRoundTrip:
         assert manifest["command"] == "regions eval"
         assert ch_file in manifest["input_digests"]
 
+    def test_frontier_manifest_reports_search_effort(self, ch_file,
+                                                     tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        rc = dispatch(["regions", "frontier", "--bound", "inner3dm",
+                       "--channel", ch_file, "--weights", "1,1,1,1,1",
+                       "--seed", "0", "--restarts", "3", "--iters", "4",
+                       "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+        search = manifest["extras"]["search"]
+        assert set(search) == {"evaluations", "infeasible", "dual_vertices",
+                               "winning_restart"}
+        # every restart is feasible here, so each scores 1 + iters points
+        assert search["infeasible"] == 0
+        assert search["evaluations"] == 3 * (4 + 1)
+        assert search["winning_restart"] in range(3)
+        assert search["dual_vertices"] == 48    # inner3dm, w = (1,1,1,1,1)
+        # the effort stays out of the primary output and the sidecar
+        assert out.read_text().splitlines()[0] == (
+            "w_r0,w_r1,w_r1e,w_r2,w_r2e,R0,R1,R1e,R2,R2e,value")
+        assert set(json.loads((tmp_path / "f.csv.aux.json").read_text())) == {
+            "m1", "m2", "m3", "nx", "p"}
+
     def test_ordering_report_feeds_outer_eval(self, ch_file, aux_file,
                                               tmp_path, capsys):
         rep = tmp_path / "mc.json"

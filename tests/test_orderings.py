@@ -9,7 +9,7 @@ from bcsl.errors import UsageError
 from bcsl.orderings import (implication_check, is_degraded, is_less_noisy,
                             is_more_capable)
 
-from conftest import (bsc, cascade_channel, check_benchmark_key0,
+from conftest import (bsc, cascade_channel, check_benchmark_key,
                       product_channel, random_channel)
 
 
@@ -125,7 +125,7 @@ def test_less_noisy_gap_is_witnessed(nx, sizes, pair, seed):
 def test_orderings_agree_with_benchmark_refs(tmp_path, capsys):
     # every verdict triple of one key of the orderings benchmark equals the
     # reference made at the seed commit
-    check_benchmark_key0("orderings", tmp_path)
+    check_benchmark_key("orderings", 0, tmp_path)
     capsys.readouterr()
 
 

@@ -1,23 +1,26 @@
 """Bound evaluation, the single-auxiliary collapse, and frontier search."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bcsl.channel_core import conditional_mi, induced_joint
 from bcsl.errors import PreconditionError, UsageError, ValidationError
-from bcsl.fme import is_constant_symbol, load_fixture
+from bcsl.fme import IneqSystem, is_constant_symbol, load_fixture
 from bcsl.orderings import is_less_noisy, is_more_capable
 from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, PERTURB_STEP,
-                          RateTuple, SearchConfig, _FIXTURES, _instantiate,
+                          PolytopeRow, RatePolytope, RateTuple, SearchConfig,
+                          _FIXTURES, _Scorer, _compile, _instantiate,
                           _preconditions, check_markov, eval_bound,
                           eval_cor3_match, max_weighted_rate, parse_mi_name,
                           polytope_lp)
 
-from conftest import (cascade_channel, check_benchmark_key0,
-                      identical_y1_y3_channel, noiseless_identical_channel,
+from conftest import (bsc, cascade_channel, check_benchmark_key,
+                      identical_y1_y3_channel, ksym,
+                      noiseless_identical_channel, product_channel,
                       random_channel)
 
 
@@ -242,6 +245,30 @@ class TestPolytopeLp:
             want = _vertex_enum_max(pol, w)
             assert got == pytest.approx(want, abs=1e-7)
 
+    def test_polytope_not_built_by_its_bound_rejected(self, rng, cascade):
+        # polytope_lp solves with the matrices compiled for pol.bound
+        aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
+        outer = eval_bound(BoundId.OUTER_3DM, cascade, aux, override=True)
+        inner = eval_bound(BoundId.INNER_3DM, cascade, aux)
+        hand_built = RatePolytope(
+            "inner3dm", (PolytopeRow("common", (("R0", 1),), 0.5),))
+        for pol in (hand_built,
+                    dataclasses.replace(outer, bound="inner3dm"),
+                    dataclasses.replace(inner, rows=inner.rows[::-1]),
+                    dataclasses.replace(inner, free_symbols=("R0", "R1"))):
+            with pytest.raises(ValidationError):
+                polytope_lp(pol, [1, 1, 1, 1, 1])
+        assert polytope_lp(inner, [1, 1, 1, 1, 1]) is not None
+
+    def test_negative_coefficient_beside_constants_rejected(self,
+                                                            monkeypatch):
+        # r = 0 is feasible iff every rhs is >= 0 only while each row with
+        # information constants has nonnegative rate coefficients
+        system = IneqSystem.parse("r1e_gap: R1e - R1 <= I(X;Y1)\n")
+        monkeypatch.setattr("bcsl.regions.load_fixture", lambda name: system)
+        with pytest.raises(ValidationError):
+            _compile.__wrapped__(BoundId.INNER_3DM)
+
 
 class TestCor3Match:
     def test_cascade_collapse(self, rng, cascade, ln_reports):
@@ -272,14 +299,14 @@ class TestCor3Match:
 class TestMaxWeightedRate:
     def test_common_capacity_noiseless(self):
         ch = noiseless_identical_channel(2)
-        rate, aux, value = max_weighted_rate(
+        rate, aux, value, _ = max_weighted_rate(
             BoundId.INNER_3DM, ch, [1, 0, 0, 0, 0],
             SearchConfig(restarts=8, iters=40, seed=2))
         assert value == pytest.approx(1.0, abs=0.02)
 
     def test_r2e_zero_when_y1_equals_y3(self, rng):
         ch = identical_y1_y3_channel(rng)
-        rate, aux, value = max_weighted_rate(
+        rate, aux, value, _ = max_weighted_rate(
             BoundId.INNER_3DM, ch, [0, 0, 0, 0, 1],
             SearchConfig(restarts=4, iters=10, seed=1))
         assert value == pytest.approx(0.0, abs=1e-9)
@@ -296,8 +323,88 @@ class TestMaxWeightedRate:
             max_weighted_rate(BoundId.INNER_3DM, cascade, [0, 0, 0, 0, 0])
 
 
+# the cascade is degraded toward Y3; in the last channel Y3 is the strongest
+# receiver, so secrecy rows go negative and some polytopes are empty
+_SCORER_CHANNELS = {
+    "cascade": cascade_channel(0.1, 0.08, 0.08),
+    "product3": product_channel(ksym(3, 0.05), ksym(3, 0.15),
+                                ksym(3, 0.30)),
+    "y3_strongest": product_channel(bsc(0.2), bsc(0.25), bsc(0.02)),
+}
+
+
+def _row_violation(pol, rate):
+    """How far the rate tuple overshoots the polytope's worst row (bits)."""
+    r = rate.as_dict()
+    return max(0.0, *(sum(c * r[s] for s, c in row.coeffs) - row.rhs
+                      for row in pol.rows))
+
+
+class TestScorer:
+    @pytest.mark.parametrize("bound", list(BoundId))
+    def test_agrees_with_highs(self, bound):
+        verdicts = []
+
+        @settings(derandomize=True, max_examples=15, deadline=None)
+        @given(weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                min_size=5, max_size=5).filter(any),
+               m1=st.integers(1, 3), extra2=st.integers(0, 2),
+               extra3=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+        # all weight on rates that some bounds pin to zero
+        @example(weights=[0, 0, 1, 0, 2], m1=2, extra2=1, extra3=0, seed=1)
+        @example(weights=[0, 0, 0, 1, 1], m1=1, extra2=2, extra3=1, seed=2)
+        def check(weights, m1, extra2, extra3, seed):
+            rng = np.random.default_rng(seed)
+            for ch in _SCORER_CHANNELS.values():
+                score = _Scorer(bound, ch, np.asarray(weights, float))
+                state = FactorBlocks.random(rng, m1, m1 + extra2,
+                                            m1 + extra3, ch.nx)
+                for _ in range(2):
+                    aux = state.to_aux()
+                    got = score(aux)
+                    pol = eval_bound(bound, ch, aux, override=True)
+                    want = polytope_lp(pol, weights)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        # HiGHS may return a point that violates rows by up
+                        # to its 1e-7 tolerance; its value then moves by at
+                        # most that violation times the largest dual
+                        # vertex 1-norm
+                        slack = _row_violation(pol, want[0]) * np.abs(
+                            score.vertices).sum(axis=1).max()
+                        assert abs(got - want[1]) <= 1e-12 + slack
+                    verdicts.append(got is None)
+                    state = state.perturbed(rng, PERTURB_STEP)
+
+        check()
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("bound", list(BoundId))
+    def test_grey_zone_verdict_matches_highs(self, bound, cascade):
+        # HiGHS accepts a row violated by up to its 1e-7 primal feasibility
+        # tolerance, and so must the scorer
+        pol = eval_bound(bound, cascade,
+                         FactorBlocks.uniform(3, 3, 3, 2).to_aux(),
+                         override=True)
+        w = [1, 1, 1, 1, 1]
+        score = _Scorer(bound, cascade, np.asarray(w, float))
+        with_constants = [i for i, (_, _, terms) in
+                          enumerate(_compile(bound).rows) if terms]
+        for i in with_constants:
+            for rhs, feasible in ((-5e-8, True), (-2e-7, False)):
+                rows = list(pol.rows)
+                rows[i] = dataclasses.replace(rows[i], rhs=rhs)
+                highs = polytope_lp(dataclasses.replace(pol, rows=tuple(rows)),
+                                    w)
+                got = score.value(np.array([r.rhs for r in rows] + [0, 0]))
+                assert (highs is not None) is feasible, (rows[i].tag, rhs)
+                assert (got is not None) is feasible, (rows[i].tag, rhs)
+
+
 def test_frontier_agrees_with_benchmark_refs(tmp_path, capsys):
-    # the CSV and auxiliary sidecar of both frontier commands of one key of
+    # the CSV and auxiliary sidecar of both frontier commands of keys 0-3 of
     # the frontier benchmark are byte-identical to the seed-commit reference
-    check_benchmark_key0("frontier", tmp_path)
+    for key in range(4):
+        (tmp_path / str(key)).mkdir()
+        check_benchmark_key("frontier", key, tmp_path / str(key))
     capsys.readouterr()
