@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -202,19 +202,15 @@ def cmd_orderings(args) -> int:
     em = _Emitter(args, "orderings", [args.channel])
     if args.predicate == "degraded":
         rep = is_degraded(ch, a, b)
-        payload = rep.to_dict()
     elif args.predicate == "less_noisy":
         rep = is_less_noisy(ch, a, b, restarts=args.restarts, seed=args.seed)
-        payload = rep.to_dict()
     elif args.predicate == "more_capable":
         rep = is_more_capable(ch, a, b, restarts=args.restarts,
                               seed=args.seed)
-        payload = rep.to_dict()
     else:
         rep = implication_check(ch, a, b, restarts=args.restarts,
                                 seed=args.seed)
-        payload = rep.to_dict()
-    em.emit_json(payload)
+    em.emit_json(rep.to_dict())
     return 0
 
 
@@ -304,10 +300,7 @@ def cmd_sim_run(args) -> int:
 def cmd_sim_equivocation(args) -> int:
     ch = parse_channel(args.channel)
     aux = parse_aux(args.aux)
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, seed=args.seed)
+    cfg = replace(_load_config(args.config), seed=args.seed)
     em = _Emitter(args, "sim equivocation",
                   [args.channel, args.aux, args.config])
     cb = build_codebook(cfg, aux, ch)

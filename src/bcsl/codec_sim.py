@@ -35,6 +35,8 @@ DEFAULT_ENUM_CAP = 2 ** 20
 DEFAULT_CODEWORD_CAP = 10 ** 7
 # sum tolerance of a sampling row, the one Generator.choice applies to p
 _PMF_ATOL = math.sqrt(np.finfo(np.float64).eps)
+# two-sided 95% standard normal quantile of the Wilson interval
+_Z95 = 1.959963984540054
 
 # RNG stream tags (first element after the master seed)
 _STREAM_GEN = 0
@@ -486,12 +488,11 @@ def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
 # Monte Carlo simulation
 
 
-def wilson_interval(k: int, m: int, z: float = 1.959963984540054
-                    ) -> tuple[float, float]:
+def wilson_interval(k: int, m: int) -> tuple[float, float]:
     """95% binomial score interval (always contains k/m)."""
     if m == 0:
         return (0.0, 1.0)
-    ph = k / m
+    ph, z = k / m, _Z95
     denom = 1 + z * z / m
     center = (ph + z * z / (2 * m)) / denom
     half = z * math.sqrt(ph * (1 - ph) / m + z * z / (4 * m * m)) / denom
@@ -555,14 +556,12 @@ def _run_trial(cb: Codebook, ch_cdf: np.ndarray, trial: int, seed: int
 
 
 def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
-             seed: int, *, threads: int = 1, codebook: Codebook | None = None
-             ) -> SimReport:
+             seed: int, *, codebook: Codebook | None = None) -> SimReport:
     """Monte Carlo block-error estimation.
 
     Per-trial randomness is counter-based on (seed, trial), so the report
-    does not depend on the thread count or the trial order.  Trials run in
-    one thread, since they are bound by the interpreter lock; `threads` is
-    accepted for compatibility and ignored.
+    does not depend on the trial order.  Trials run in one thread, since
+    they are bound by the interpreter lock.
     """
     if trials < 1:
         raise UsageError(f"trials must be at least 1, got {trials}")

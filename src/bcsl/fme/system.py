@@ -8,9 +8,10 @@ information constants (opaque nonnegative parameters, names beginning with
     # comment
     tag_name: 2 R0 + R1 <= I(U3;Y3) + I(U2;Y2) - 1/2
 
-Tokens are whitespace-separated; `<=`, `>=`, `<`, `>` and `=` are accepted,
-everything is normalized to `<=` (strictness kept as a flag, equalities
-expand to two opposite rows sharing a tag suffix).
+Tokens are whitespace-separated; `<=`, `>=` and `=` are accepted and
+everything is normalized to `<=` (equalities expand to two opposite rows
+sharing a tag suffix).  Strict `<` and `>` are rejected: Farkas certificates
+prove only non-strict rows.
 """
 
 from __future__ import annotations
@@ -29,18 +30,16 @@ def is_constant_symbol(name: str) -> bool:
 
 @dataclass(frozen=True)
 class Ineq:
-    """One row: coeffs . symbols <= rhs  (strict if flagged)."""
+    """One row: coeffs . symbols <= rhs."""
 
     coeffs: tuple[tuple[str, Fraction], ...]  # sorted by symbol name, nonzero
     rhs: Fraction
     tag: str
-    strict: bool = False
 
     @staticmethod
-    def make(coeffs: Mapping[str, Fraction], rhs: Fraction, tag: str,
-             strict: bool = False) -> "Ineq":
+    def make(coeffs: Mapping[str, Fraction], rhs: Fraction, tag: str) -> "Ineq":
         items = tuple(sorted((s, Fraction(c)) for s, c in coeffs.items() if c != 0))
-        return Ineq(items, Fraction(rhs), tag, strict)
+        return Ineq(items, Fraction(rhs), tag)
 
     def coeff_dict(self) -> dict[str, Fraction]:
         return dict(self.coeffs)
@@ -58,10 +57,9 @@ class Ineq:
     def normalized_key(self) -> tuple:
         """Scale-invariant identity used for duplicate detection."""
         if not self.coeffs:
-            return ((), self.rhs, self.strict)
+            return ((), self.rhs)
         lead = abs(self.coeffs[0][1])
-        return (tuple((s, c / lead) for s, c in self.coeffs),
-                self.rhs / lead, self.strict)
+        return (tuple((s, c / lead) for s, c in self.coeffs), self.rhs / lead)
 
     def __str__(self) -> str:
         lhs_terms = []
@@ -71,8 +69,7 @@ class Ineq:
             coef = "" if mag == 1 else f"{mag} "
             lhs_terms.append(f"{sign} {coef}{s}")
         lhs = " ".join(lhs_terms).lstrip("+ ") or "0"
-        op = "<" if self.strict else "<="
-        return f"{self.tag}: {lhs} {op} {self.rhs}"
+        return f"{self.tag}: {lhs} <= {self.rhs}"
 
 
 @dataclass(frozen=True)
@@ -92,9 +89,6 @@ class IneqSystem:
                 names.setdefault(s)
         return list(names)
 
-    def variables(self) -> list[str]:
-        return [s for s in self.symbols() if not is_constant_symbol(s)]
-
     def constants(self) -> list[str]:
         return [s for s in self.symbols() if is_constant_symbol(s)]
 
@@ -112,7 +106,7 @@ class IneqSystem:
             del coeffs[var]
             for s, e in expr.items():
                 coeffs[s] = coeffs.get(s, Fraction(0)) + c * Fraction(e)
-            out.append(Ineq.make(coeffs, row.rhs - c * const, row.tag, row.strict))
+            out.append(Ineq.make(coeffs, row.rhs - c * const, row.tag))
         return IneqSystem(tuple(out))
 
     def rename_constants(self, mapping: Mapping[str, str | None]) -> "IneqSystem":
@@ -131,7 +125,7 @@ class IneqSystem:
         kept = []
         for row in self.rows:
             if row.is_trivial():
-                if row.rhs < 0 or (row.strict and row.rhs == 0):
+                if row.rhs < 0:
                     raise ValidationError(f"infeasible constant row: {row}")
                 continue
             kept.append(row)
@@ -177,15 +171,8 @@ class IneqSystem:
                     coeffs[s] = coeffs.get(s, Fraction(0)) + c / cl
                 coeffs.pop(var, None)
                 rhs = up.rhs / cu + lo.rhs / cl
-                out.append(Ineq.make(coeffs, rhs, f"{up.tag}*{lo.tag}",
-                                     up.strict or lo.strict))
+                out.append(Ineq.make(coeffs, rhs, f"{up.tag}*{lo.tag}"))
         return IneqSystem(tuple(out)).drop_trivial().dedupe()
-
-    def eliminate_all(self, variables: Iterable[str]) -> "IneqSystem":
-        sys = self
-        for v in variables:
-            sys = sys.eliminate(v)
-        return sys
 
     # -- text DSL --------------------------------------------------------
     def __str__(self) -> str:
@@ -205,7 +192,7 @@ class IneqSystem:
         return IneqSystem(tuple(rows))
 
 
-_SENSES = ("<=", ">=", "<", ">", "=")
+_SENSES = ("<=", ">=", "=")
 
 
 def _parse_terms(tokens: list[str]) -> tuple[dict[str, Fraction], Fraction]:
@@ -248,6 +235,9 @@ def _parse_line(line: str) -> list[Ineq]:
     tag, body = line.split(":", 1)
     tag = tag.strip()
     tokens = body.split()
+    if "<" in tokens or ">" in tokens:
+        raise ValueError("strict '<'/'>' not supported: certificates prove "
+                         "only non-strict rows")
     sense_positions = [i for i, t in enumerate(tokens) if t in _SENSES]
     if len(sense_positions) != 1:
         raise ValueError("need exactly one relational operator")
@@ -266,7 +256,6 @@ def _parse_line(line: str) -> list[Ineq]:
         fwd = Ineq.make(sub(lhs_c, rhs_c), rhs_n - lhs_n, tag)
         bwd = Ineq.make(sub(rhs_c, lhs_c), lhs_n - rhs_n, tag + "_rev")
         return [fwd, bwd]
-    if sense in ("<=", "<"):
-        return [Ineq.make(sub(lhs_c, rhs_c), rhs_n - lhs_n, tag, sense == "<")]
-    # >= or >
-    return [Ineq.make(sub(rhs_c, lhs_c), lhs_n - rhs_n, tag, sense == ">")]
+    if sense == "<=":
+        return [Ineq.make(sub(lhs_c, rhs_c), rhs_n - lhs_n, tag)]
+    return [Ineq.make(sub(rhs_c, lhs_c), lhs_n - rhs_n, tag)]

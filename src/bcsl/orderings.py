@@ -46,6 +46,8 @@ _LOG2 = np.log(2.0)
 _CHUNK = 64
 # line-search steps along a positive-curvature direction, up to the boundary
 _STEPS = 32
+# projected-gradient iterations per ascent start
+_ASCENT_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,12 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _ascend(objective: Callable[[np.ndarray], float],
             gradient: Callable[[np.ndarray], np.ndarray],
-            start: np.ndarray, iters: int = 200) -> tuple[np.ndarray, float]:
+            start: np.ndarray) -> tuple[np.ndarray, float]:
     """Projected gradient ascent on the simplex with backtracking steps."""
     p = start / start.sum()
     best = objective(p)
     step = 1.0
-    for _ in range(iters):
+    for _ in range(_ASCENT_ITERS):
         g = gradient(p)
         improved = False
         s = step
@@ -156,12 +158,11 @@ def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
     return np.array(comps, dtype=float) / resolution
 
 
-def is_degraded(ch: Channel3, a: int, b: int,
-                tol: float = DEGRADED_TOL) -> OrderingReport:
+def is_degraded(ch: Channel3, a: int, b: int) -> OrderingReport:
     """Is Y_b a stochastic degradation of Y_a?
 
     Solves min_t { |(A W − B)[x, y_b]| <= t, W row-stochastic, W >= 0 } as
-    an LP; verdict true iff the best t is within `tol`.
+    an LP; verdict true iff the best t is within DEGRADED_TOL.
     """
     _check_args(a, b)
     wa = ch.marginal_to(a)
@@ -189,8 +190,9 @@ def is_degraded(ch: Channel3, a: int, b: int,
     if not res.success:
         raise CapabilityError(f"degradedness LP failed: {res.message}")
     deviation = float(res.x[-1])
-    witness = res.x[:-1].reshape(nya, nyb) if deviation <= tol else None
-    return OrderingReport("degraded", (a, b), deviation <= tol,
+    holds = deviation <= DEGRADED_TOL
+    witness = res.x[:-1].reshape(nya, nyb) if holds else None
+    return OrderingReport("degraded", (a, b), holds,
                           deviation, witness, ch.sha256,
                           note=f"max marginal deviation {deviation:.3e}")
 
@@ -205,13 +207,11 @@ def _band_verdict(violation: float) -> bool | None:
 
 
 def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
-                    grid_resolution: int = GRID_RESOLUTION,
-                    grid_cap: int = GRID_CAP,
                     seed: int = 0) -> OrderingReport:
     """Is receiver a more capable than b: I(X;Y_a) >= I(X;Y_b) for all p(x)?
 
     Maximizes I(X;Y_b) − I(X;Y_a) by a deterministic simplex grid (for
-    nx <= grid_cap; larger inputs fall back to the ascent alone) plus
+    nx <= GRID_CAP; larger inputs fall back to the ascent alone) plus
     multi-start projected gradient ascent.
     """
     _check_args(a, b, restarts)
@@ -234,9 +234,9 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
         return part(wb) - part(wa)
 
     starts: list[np.ndarray] = [np.full(ch.nx, 1.0 / ch.nx)]
-    # past grid_cap inputs the grid is too large: multistart only, and the
+    # past GRID_CAP inputs the grid is too large: multistart only, and the
     # report says so with grid_resolution 0
-    used_resolution = grid_resolution if ch.nx <= grid_cap else 0
+    used_resolution = GRID_RESOLUTION if ch.nx <= GRID_CAP else 0
     if used_resolution > 0:
         grid = _simplex_grid(ch.nx, used_resolution)
         values = np.concatenate([objective(c) for c in _chunks(grid)])

@@ -17,13 +17,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .channel_core import (HARD_TOL, JOINT_AXES, NORM_TOL, Channel3, JointPmf,
-                           conditional_mi, induced_joint)
+                           _check_probs, conditional_mi, induced_joint)
 from .errors import PreconditionError, UsageError, ValidationError
 from .fme import is_constant_symbol, load_fixture
 from .orderings import OrderingReport
@@ -53,8 +53,7 @@ class AuxJoint:
         if arr.shape != (self.m1, self.m2, self.m3, self.nx):
             raise ValidationError(
                 f"aux tensor shape {arr.shape} != {(self.m1, self.m2, self.m3, self.nx)}")
-        if np.any(arr < 0):
-            raise ValidationError("aux joint has negative entries")
+        _check_probs(arr, "aux joint")
         if abs(arr.sum() - 1.0) > NORM_TOL:
             raise ValidationError(f"aux joint sums to {arr.sum()!r}, not 1")
         object.__setattr__(self, "p", arr)
@@ -92,15 +91,24 @@ class FactorBlocks:
     p32: list[np.ndarray]   # per u2, over own3(owner(u2)) x X, flattened
 
     @staticmethod
-    def _check_sizes(m1: int, m2: int, m3: int):
+    def owners(m: int, m1: int) -> list[list[int]]:
+        return [[j for j in range(m) if j % m1 == a] for a in range(m1)]
+
+    @classmethod
+    def _build(cls, m1: int, m2: int, m3: int, nx: int,
+               draw: Callable[[int], np.ndarray]) -> "FactorBlocks":
+        """Draw p1, then p21 per u1, then p32 per u2; draw(k) is a pmf on
+        k symbols."""
         if m2 < m1 or m3 < m1:
             raise UsageError(
                 "auxiliary cardinalities must satisfy m2 >= m1 and m3 >= m1 "
                 "(the coarse layer is embedded in the finer ones)")
-
-    @staticmethod
-    def owners(m: int, m1: int) -> list[list[int]]:
-        return [[j for j in range(m) if j % m1 == a] for a in range(m1)]
+        own2 = cls.owners(m2, m1)
+        own3 = cls.owners(m3, m1)
+        p1 = draw(m1)
+        p21 = [draw(len(own2[a])) for a in range(m1)]
+        p32 = [draw(len(own3[j % m1]) * nx) for j in range(m2)]
+        return cls(m1, m2, m3, nx, p1, p21, p32)
 
     @classmethod
     def random(cls, rng: np.random.Generator, m1: int, m2: int, m3: int,
@@ -114,25 +122,11 @@ class FactorBlocks:
         and U3 alphabets among the U1 values and drawing Dirichlet factors on
         each block.
         """
-        cls._check_sizes(m1, m2, m3)
-        own2 = cls.owners(m2, m1)
-        own3 = cls.owners(m3, m1)
-        p1 = rng.dirichlet(np.ones(m1))
-        p21 = [rng.dirichlet(np.ones(len(own2[a]))) for a in range(m1)]
-        p32 = [rng.dirichlet(np.ones(len(own3[j % m1]) * nx))
-               for j in range(m2)]
-        return cls(m1, m2, m3, nx, p1, p21, p32)
+        return cls._build(m1, m2, m3, nx, lambda k: rng.dirichlet(np.ones(k)))
 
     @classmethod
     def uniform(cls, m1: int, m2: int, m3: int, nx: int) -> "FactorBlocks":
-        cls._check_sizes(m1, m2, m3)
-        own2 = cls.owners(m2, m1)
-        own3 = cls.owners(m3, m1)
-        p1 = np.full(m1, 1 / m1)
-        p21 = [np.full(len(own2[a]), 1 / len(own2[a])) for a in range(m1)]
-        p32 = [np.full(len(own3[j % m1]) * nx, 1 / (len(own3[j % m1]) * nx))
-               for j in range(m2)]
-        return cls(m1, m2, m3, nx, p1, p21, p32)
+        return cls._build(m1, m2, m3, nx, lambda k: np.full(k, 1 / k))
 
     def to_aux(self) -> AuxJoint:
         own2 = self.owners(self.m2, self.m1)
@@ -283,16 +277,15 @@ class BoundTemplate:
     rows: (tag, rate coefficients, RHS terms) per polytope row;
     conditions: (tag, LHS terms, RHS terms) per constants-only row;
     free_symbols: the rates the rows use (the others are pinned to zero);
-    constants: the (A, B, C) groups of each MI constant the rows name;
-    a_ub: the rows' rate coefficients, then R1e <= R1 and R2e <= R2;
-    a_eq: one row per pinned rate, in RATE_SYMBOLS order.
+    constants: the (A, B, C) groups of each MI constant the rows name.
 
-    The search-path scorer's tables:
+    The search-path scorer's tables, over the rows then R1e <= R1 and
+    R2e <= R2:
     entropy_sets: each axis set whose entropy some constant needs, in
     JOINT_AXES order;
     mi_from_h: constants (in ``constants`` order) = mi_from_h @ entropies;
-    rhs_from_mi: the rhs of each a_ub row = rhs_from_mi @ constants;
-    row_group: the group of each a_ub row, rows with equal free-rate
+    rhs_from_mi: the rhs of each row = rhs_from_mi @ constants;
+    row_group: the group of each row, rows with equal free-rate
     coefficients forming one group;
     a_groups: each group's coefficients on the free rates.
     """
@@ -301,8 +294,6 @@ class BoundTemplate:
     conditions: tuple[tuple[str, Terms, Terms], ...]
     free_symbols: tuple[str, ...]
     constants: Mapping[str, tuple[tuple[str, ...], ...]]
-    a_ub: np.ndarray
-    a_eq: np.ndarray
     entropy_sets: tuple[tuple[str, ...], ...]
     mi_from_h: np.ndarray
     rhs_from_mi: np.ndarray
@@ -315,6 +306,13 @@ def _int_coeff(tag: str, sym: str, c: Fraction) -> int:
         raise ValidationError(
             f"bound row {tag}: coefficient {c} of {sym} is not an integer")
     return int(c)
+
+
+def _a_ub(rates: Iterable[Iterable[tuple[str, int]]]) -> np.ndarray:
+    """Coefficients over RATE_SYMBOLS of the rows with these rate terms,
+    then of R1e <= R1 and R2e <= R2."""
+    ub = [dict(r) for r in rates] + [{"R1e": 1, "R1": -1}, {"R2e": 1, "R2": -1}]
+    return np.array([[r.get(s, 0) for s in RATE_SYMBOLS] for r in ub], float)
 
 
 @functools.cache
@@ -347,12 +345,7 @@ def _compile(bound: BoundId) -> BoundTemplate:
     terms += [t for _, lhs, rhs in conditions for t in lhs + rhs]
     constants = {name: parse_mi_name(name) for _, name in terms}
 
-    ub = [dict(rates) for _, rates, _ in rows]
-    ub += [{"R1e": 1, "R1": -1}, {"R2e": 1, "R2": -1}]
-    a_ub = np.array([[r.get(s, 0) for s in RATE_SYMBOLS] for r in ub], float)
-    a_eq = np.eye(len(RATE_SYMBOLS))[
-        [i for i, s in enumerate(RATE_SYMBOLS) if s not in free]]
-
+    a_ub = _a_ub(rates for _, rates, _ in rows)
     sets: dict[tuple[str, ...], int] = {}     # axis set -> entropy column
     entries = []                              # (constant, column, sign)
     for i, (a, b, c) in enumerate(constants.values()):
@@ -365,7 +358,7 @@ def _compile(bound: BoundId) -> BoundTemplate:
     for i, j, sign in entries:
         mi_from_h[i, j] += sign
     col = {name: j for j, name in enumerate(constants)}
-    rhs_from_mi = np.zeros((len(ub), len(constants)))
+    rhs_from_mi = np.zeros((len(a_ub), len(constants)))
     for i, (_, _, ts) in enumerate(rows):
         for c, name in ts:
             rhs_from_mi[i, col[name]] += c
@@ -373,11 +366,11 @@ def _compile(bound: BoundId) -> BoundTemplate:
         a_ub[:, [RATE_SYMBOLS.index(s) for s in free]], axis=0,
         return_inverse=True)
 
-    for arr in (a_ub, a_eq, mi_from_h, rhs_from_mi, row_group, a_groups):
+    for arr in (mi_from_h, rhs_from_mi, row_group, a_groups):
         arr.setflags(write=False)
     return BoundTemplate(tuple(rows), tuple(conditions), free, constants,
-                         a_ub, a_eq, tuple(sets), mi_from_h, rhs_from_mi,
-                         row_group, a_groups)
+                         tuple(sets), mi_from_h, rhs_from_mi, row_group,
+                         a_groups)
 
 
 # HiGHS's default primal feasibility tolerance: polytope_lp finds the
@@ -478,7 +471,8 @@ class _Scorer:
         return val
 
     def value(self, rhs: np.ndarray) -> float | None:
-        """The LP value for the rhs of the a_ub rows, None if infeasible."""
+        """The LP value for the rhs of the rows, then 0 for R1e <= R1 and
+        R2e <= R2; None if infeasible."""
         if rhs.min() < -LP_FEAS_TOL or not len(self.vertices):
             return None
         g = np.full(len(self.t.a_groups), np.inf)
@@ -617,14 +611,13 @@ class Cor3MatchRow:
 @dataclass(frozen=True)
 class Cor3MatchReport:
     rows: tuple[Cor3MatchRow, ...]
-    tol: float = MATCH_TOL
 
     @property
     def matched(self) -> bool:
-        return all(r.residual <= self.tol for r in self.rows)
+        return all(r.residual <= MATCH_TOL for r in self.rows)
 
     def to_dict(self) -> dict:
-        return {"matched": self.matched, "tol": self.tol,
+        return {"matched": self.matched, "tol": MATCH_TOL,
                 "rows": [{"tag": r.tag, "region_rhs": r.region_rhs,
                           "inner_rhs": r.inner_rhs, "outer_rhs": r.outer_rhs,
                           "residual": r.residual} for r in self.rows]}
@@ -654,10 +647,7 @@ def eval_cor3_match(ch: Channel3, p_ux: np.ndarray, *,
     Each region inequality is compared against its specialized counterpart
     row in both bounds; all RHS values must agree within ``MATCH_TOL``.
     """
-    _require_report(ordering_reports, ch, "less_noisy", (1, 3),
-                    "receiver 1 is less noisy than receiver 3", override)
-    _require_report(ordering_reports, ch, "less_noisy", (2, 3),
-                    "receiver 2 is less noisy than receiver 3", override)
+    _preconditions(BoundId.REGION_TYPE2, ch, ordering_reports, override)
     joint = induced_joint(ch, type2_aux(p_ux, ch.nx))
     inner = _instantiate(BoundId.INNER_3DM, joint)
     outer = _instantiate(BoundId.OUTER_3DM, joint)
@@ -704,21 +694,13 @@ def polytope_lp(pol: RatePolytope, weights: Sequence[float]
                 ) -> tuple[RateTuple, float] | None:
     """Maximize weights . r over the polytope plus the rate-tuple
     invariants (nonnegativity, R1e <= R1, R2e <= R2, pinned rates = 0).
-    Returns None when infeasible.
-
-    The constraint matrices are the ones compiled for ``pol.bound``, so
-    ``pol`` must carry that bound's rows (tags and rate coefficients, in
-    fixture order) and free rates, as ``eval_bound`` builds them."""
+    Returns None when infeasible."""
     w = np.asarray(weights, float)
-    t = _compile(BoundId(pol.bound))
-    if ([(r.tag, r.coeffs) for r in pol.rows]
-            != [(tag, rates) for tag, rates, _ in t.rows]
-            or tuple(pol.free_symbols) != t.free_symbols):
-        raise ValidationError(
-            f"polytope rows or free rates differ from the {pol.bound} bound")
     b_ub = np.array([row.rhs for row in pol.rows] + [0.0, 0.0])
-    res = linprog(-w, A_ub=t.a_ub, b_ub=b_ub, A_eq=t.a_eq,
-                  b_eq=np.zeros(len(t.a_eq)), bounds=[(0, None)] * 5,
+    a_eq = np.eye(len(RATE_SYMBOLS))[
+        [i for i, s in enumerate(RATE_SYMBOLS) if s not in pol.free_symbols]]
+    res = linprog(-w, A_ub=_a_ub(r.coeffs for r in pol.rows), b_ub=b_ub,
+                  A_eq=a_eq, b_eq=np.zeros(len(a_eq)), bounds=[(0, None)] * 5,
                   method="highs")
     if not res.success:
         return None

@@ -216,17 +216,6 @@ class TestSimulate:
         assert rep.rate(3) == 0.0
         assert rep.encode_failures == 0
 
-    def test_thread_count_invariant(self, aux, bsc_third):
-        cfg = CodeConfig(n=6, r1e=0.1, q2=0.2, eps=0.5, seed=2)
-        cb = build_codebook(cfg, aux, bsc_third)
-        a = simulate(cfg, aux, bsc_third, trials=100, seed=11, threads=1,
-                     codebook=cb)
-        b = simulate(cfg, aux, bsc_third, trials=100, seed=11, threads=4,
-                     codebook=cb)
-        da, db = a.to_dict(), b.to_dict()
-        da.pop("wall_seconds"), db.pop("wall_seconds")
-        assert da == db
-
     def test_report_shape(self, aux, bsc_third):
         cfg = CodeConfig(n=6, r1e=0.1, q2=0.2, eps=0.5, seed=2)
         rep = simulate(cfg, aux, bsc_third, trials=50, seed=3)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from bcsl.cli import dispatch
+from bcsl.errors import ValidationError
 from bcsl.fme import (Ineq, IneqSystem, appendix_reduction,
                       base_system_for_appendix, certify, check_equivalence,
                       derive_inner_bound, derive_type1_bound, load_fixture,
@@ -25,6 +26,20 @@ class TestDsl:
         text = "row_a: 3 R0 + R1 <= I(U3;Y3) + I(U2;Y2)\nrow_b: 0 <= Q2\n"
         s = IneqSystem.parse(text)
         assert IneqSystem.parse(str(s)).rows == s.rows
+
+    @pytest.mark.parametrize("line", [
+        "a: R0 < 1", "a: R0 > 1", "a: R0 < 1 <= 2"])
+    def test_strict_relation_rejected(self, line):
+        # certificates prove only non-strict rows
+        with pytest.raises(ValidationError, match="strict"):
+            IneqSystem.parse(line)
+
+    def test_equality_expands_to_two_rows(self):
+        fwd, rev = IneqSystem.parse("a: R0 + R1 = I(U1;Y1) + 1").rows
+        assert (fwd.tag, rev.tag) == ("a", "a_rev")
+        assert fwd.coeff_dict() == {"R0": 1, "R1": 1, "I(U1;Y1)": -1}
+        assert rev.coeff_dict() == {"R0": -1, "R1": -1, "I(U1;Y1)": 1}
+        assert (fwd.rhs, rev.rhs) == (1, -1)
 
     @pytest.mark.parametrize("name", [
         "inner_bin_pairing", "inner_decoding", "inner_partition_floor",

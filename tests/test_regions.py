@@ -80,6 +80,10 @@ class TestAuxJoint:
     def test_invalid_pmf_rejected(self):
         with pytest.raises(ValidationError):
             AuxJoint(2, 2, 2, 2, np.full((2, 2, 2, 2), 0.9 / 16))
+        p = np.full((2, 2, 2, 2), 1 / 16)
+        p[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            AuxJoint(2, 2, 2, 2, p)
 
     def test_cardinality_floor(self):
         with pytest.raises(UsageError):
@@ -245,20 +249,19 @@ class TestPolytopeLp:
             want = _vertex_enum_max(pol, w)
             assert got == pytest.approx(want, abs=1e-7)
 
-    def test_polytope_not_built_by_its_bound_rejected(self, rng, cascade):
-        # polytope_lp solves with the matrices compiled for pol.bound
-        aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
-        outer = eval_bound(BoundId.OUTER_3DM, cascade, aux, override=True)
-        inner = eval_bound(BoundId.INNER_3DM, cascade, aux)
-        hand_built = RatePolytope(
-            "inner3dm", (PolytopeRow("common", (("R0", 1),), 0.5),))
-        for pol in (hand_built,
-                    dataclasses.replace(outer, bound="inner3dm"),
-                    dataclasses.replace(inner, rows=inner.rows[::-1]),
-                    dataclasses.replace(inner, free_symbols=("R0", "R1"))):
-            with pytest.raises(ValidationError):
-                polytope_lp(pol, [1, 1, 1, 1, 1])
-        assert polytope_lp(inner, [1, 1, 1, 1, 1]) is not None
+    def test_hand_built_polytope_solved_by_its_own_rows(self, rng):
+        # polytope_lp reads the matrices from pol's rows and free rates,
+        # not from the bound it names
+        pol = RatePolytope("inner3dm", (
+            PolytopeRow("common", (("R0", 1), ("R1", 1)), 0.5),
+            PolytopeRow("r1", (("R1", 2),), 0.6),
+            PolytopeRow("secret", (("R1e", 1), ("R0", 1)), 0.4)),
+            free_symbols=("R0", "R1", "R1e"))
+        for _ in range(4):
+            w = rng.random(5)
+            rate, got = polytope_lp(pol, w)
+            assert got == pytest.approx(_vertex_enum_max(pol, w), abs=1e-7)
+            assert rate.r2 == rate.r2e == 0.0
 
     def test_negative_coefficient_beside_constants_rejected(self,
                                                             monkeypatch):
