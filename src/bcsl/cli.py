@@ -35,7 +35,8 @@ from .orderings import (OrderingReport, implication_check, is_degraded,
                         is_less_noisy, is_more_capable)
 from .regions import (AuxJoint, BoundId, SearchConfig, eval_bound,
                       max_weighted_rate)
-from .codec_sim import (CodeConfig, build_codebook, exact_equivocation,
+from .codec_sim import (CodeConfig, build_codebook, check_enum_cap,
+                        enumeration_counts, exact_equivocation,
                         secrecy_gap_study, simulate)
 
 
@@ -301,10 +302,12 @@ def cmd_sim_equivocation(args) -> int:
     ch = parse_channel(args.channel)
     aux = parse_aux(args.aux)
     cfg = replace(_load_config(args.config), seed=args.seed)
+    check_enum_cap(cfg.n, ch.ny3)
     em = _Emitter(args, "sim equivocation",
                   [args.channel, args.aux, args.config])
     cb = build_codebook(cfg, aux, ch)
     rep = exact_equivocation(cb)
+    em.manifest.extras["enumeration"] = enumeration_counts(cb)
     em.emit_json(rep.to_dict())
     return 0
 

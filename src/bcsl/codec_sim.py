@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel_core import Channel3, conditional_mi, induced_joint, tensor_entropy
+from .channel_core import Channel3, _clamp, conditional_mi, induced_joint
 from .errors import (CapabilityError, ConfigError, EncodingError,
                      GenerationError, UsageError, ValidationError)
 from .regions import AuxJoint
@@ -33,6 +33,8 @@ RATE_TOL = 1e-9
 DEFAULT_RETRY_CAP = 2000
 DEFAULT_ENUM_CAP = 2 ** 20
 DEFAULT_CODEWORD_CAP = 10 ** 7
+# cells of the wiretapper's table per block of exact_equivocation: 1 MiB
+ENUM_BLOCK_CELLS = 2 ** 17
 # sum tolerance of a sampling row, the one Generator.choice applies to p
 _PMF_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # two-sided 95% standard normal quantile of the Wilson interval
@@ -625,20 +627,74 @@ def _likelihood_table(ch3: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _neg_plogp(t: np.ndarray) -> float:
+    """-sum t log2 t over a nonnegative array (0 log 0 = 0), without the
+    compressed copy of its positive entries that `tensor_entropy` makes."""
+    logs = np.log2(t, out=np.zeros_like(t), where=t > 0)
+    return -float(np.vdot(t, logs))
+
+
+def check_enum_cap(n: int, ny3: int, enum_cap: int = DEFAULT_ENUM_CAP
+                   ) -> None:
+    """Refuse a blocklength whose |Y3|^n outputs exceed the enumeration
+    cap; callers check it before they build a codebook."""
+    if ny3 ** n > enum_cap:
+        raise CapabilityError(
+            f"|Y3|^n = {ny3 ** n} exceeds the enumeration cap {enum_cap}; "
+            "use a smaller blocklength")
+
+
+def _block_plan(cb: Codebook) -> tuple[int, int]:
+    """Codeword chunks and table rows per block of `exact_equivocation`.
+
+    A chunk holds at most ny3^(n//2) codewords of each (w1, w2) group; a
+    block, as many rows (values of the first n//2 outputs) as
+    ENUM_BLOCK_CELLS cells hold, at least one.  With more than one chunk,
+    every block would rebuild every chunk's half tables, while one full
+    chunk's half tables already outweigh the table: one block then spans
+    every row."""
+    n, ny3 = cb.cfg.n, cb.ch.ny3
+    groups = cb.sizes["r1e"] * cb.sizes["w2"]
+    rows = ny3 ** (n // 2)
+    chunks = -(-math.prod(cb.x.shape[:-1]) // (groups * rows))
+    if chunks == 1:
+        rows = min(rows, max(1, ENUM_BLOCK_CELLS
+                             // (groups * ny3 ** (n - n // 2))))
+    return chunks, rows
+
+
+def enumeration_counts(cb: Codebook) -> dict[str, int]:
+    """The work `exact_equivocation` does on cb: the cells of the
+    wiretapper's table p(w1, w2, y3^n), the row blocks and codeword chunks
+    it forms them in, and the bytes of one block."""
+    n, ny3 = cb.cfg.n, cb.ch.ny3
+    groups = cb.sizes["r1e"] * cb.sizes["w2"]
+    chunks, rows = _block_plan(cb)
+    return {"cells": groups * ny3 ** n,
+            "row_blocks": -(-ny3 ** (n // 2) // rows),
+            "codeword_chunks": chunks,
+            "block_bytes": 8 * groups * rows * ny3 ** (n - n // 2)}
+
+
 def exact_equivocation(cb: Codebook, *, enum_cap: int = DEFAULT_ENUM_CAP
                        ) -> EquivocationReport:
     """Exact H(W1|Y3^n), H(W2|Y3^n), H(W1,W2|Y3^n) by full enumeration.
 
     Marginalizes the uniform messages and the encoder's uniform
     randomization indices against the memoryless wiretap channel law.
+    The table p(w1, w2, y3^n) is formed a block of rows at a time, each
+    block added to the four entropy sums and dropped.  When each (w1, w2)
+    group has at most |Y3|^(n//2) codewords (one chunk, see `_block_plan`),
+    memory is the two half tables plus one block of at most
+    ENUM_BLOCK_CELLS cells (one row, if a row is larger), never the full
+    table, so `enum_cap` caps the time of the enumeration, not its memory.
+    With more codewords, one chunk's half tables outweigh the table, and
+    one block holds it.
     """
     cfg, s = cb.cfg, cb.sizes
     n = cfg.n
     ny3 = cb.ch.ny3
-    if ny3 ** n > enum_cap:
-        raise CapabilityError(
-            f"|Y3|^n = {ny3 ** n} exceeds the enumeration cap {enum_cap}; "
-            "use a smaller blocklength")
+    check_enum_cap(n, ny3, enum_cap)
     if cb.pairing_failure_fraction > 0:
         raise ValidationError(
             "codebook has unpaired product bins; exact equivocation needs a "
@@ -650,27 +706,39 @@ def exact_equivocation(cb: Codebook, *, enum_cap: int = DEFAULT_ENUM_CAP
     # w2 = join_w2(p1, p3) = p1 * Np3 + p3 falls out of the reshape
     xs = cb.x.transpose(1, 4, 3, 0, 2, 5, 6).reshape(nw1, nw2, -1, n)
     # p(y3^n|x^n) = outer(L_A, L_B) over the two halves of the block, the
-    # first half giving the high digits of the C order of (y3_1, ..., y3_n);
-    # each group's table row is then sum_c weight L_A(c) (x) L_B(c), one
-    # matrix product.  Blocks of at most ny3^h codewords keep both half
-    # tables no larger than the output table.
+    # first half giving the high digits of the C order of (y3_1, ..., y3_n),
+    # so rows a0:a1 of each group's table are sum_c weight L_A(c)[a0:a1]
+    # (x) L_B(c), one matrix product.  Chunks of at most ny3^h codewords
+    # keep both half tables no larger than the whole table would be.
     h = n // 2
-    block = ny3 ** h
+    chunk = ny3 ** h
 
-    # half tables live only inside one call, so none outlives its block
-    def group_sum(part: np.ndarray) -> np.ndarray:
-        la = weight * _likelihood_table(ch3, part[..., :h])
-        return np.matmul(la.swapaxes(-1, -2),
-                         _likelihood_table(ch3, part[..., h:]))
+    def halves(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        la = _likelihood_table(ch3, part[..., :h])
+        la *= weight
+        return la.swapaxes(-1, -2), _likelihood_table(ch3, part[..., h:])
 
-    table = group_sum(xs[:, :, :block])
-    for lo in range(block, xs.shape[2], block):
-        table += group_sum(xs[:, :, lo:lo + block])
-    table = table.reshape(nw1, nw2, ny3 ** n)
-    h_y3 = tensor_entropy(table.sum(axis=(0, 1)))
-    h_w1y3 = tensor_entropy(table.sum(axis=1))
-    h_w2y3 = tensor_entropy(table.sum(axis=0))
-    h_w12y3 = tensor_entropy(table)
+    parts = [xs[:, :, lo:lo + chunk] for lo in range(0, xs.shape[2], chunk)]
+    # one chunk keeps its half tables for every block; with more chunks one
+    # block spans every row, so each chunk's are built once, and freed
+    # before the next chunk's are built
+    chunks, rows = _block_plan(cb)
+    kept = halves(parts[0]) if chunks == 1 else None
+
+    def share(part: np.ndarray, a0: int) -> np.ndarray:
+        la_t, lb = kept or halves(part)
+        return np.matmul(la_t[..., a0:a0 + rows, :], lb)
+
+    sums = np.zeros(4)          # -sum p log p of (w1,w2,y), (w1,y), (w2,y), y
+    for a0 in range(0, ny3 ** h, rows):
+        block = share(parts[0], a0)
+        for part in parts[1:]:
+            block += share(part, a0)
+        w1y = block.sum(axis=1)
+        sums += (_neg_plogp(block), _neg_plogp(w1y),
+                 _neg_plogp(block.sum(axis=0)), _neg_plogp(w1y.sum(axis=0)))
+    h_w12y3, h_w1y3, h_w2y3, h_y3 = (_clamp(float(v), "entropy")
+                                     for v in sums)
     return EquivocationReport(
         n=n,
         h_w1=math.log2(nw1),
@@ -694,6 +762,8 @@ def secrecy_gap_study(configs: Sequence[CodeConfig], aux: AuxJoint,
     randomization rate r1p toward the wiretapper's satellite capacity should
     weakly raise H(W1|Y3^n)/n on the same seed) are made on these rows.
     """
+    for cfg in configs:
+        check_enum_cap(cfg.n, ch.ny3)
     rows = []
     for cfg in configs:
         for seed in seeds:

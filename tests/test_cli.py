@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bcsl import cli, codec_sim
 from bcsl.cli import dispatch, parse_channel
 from bcsl.errors import ValidationError
 
@@ -144,6 +145,34 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert flag[2:] in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["equivocation", "study"])
+    def test_enumeration_cap_fails_before_codebook(self, command, tmp_path,
+                                                   monkeypatch, capsys):
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps(product_channel(
+            bsc(1 / 3), bsc(1 / 3), bsc(1 / 3)).to_dict()))
+        aux = tmp_path / "aux.json"
+        aux.write_text(json.dumps(_valid_inputs()["aux"]))
+        cfg = {"n": 30, "r1e": 0.3, "r1p": 0.25, "q2": 0.6, "eps": 0.5}
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps(cfg if command == "equivocation"
+                                   else [cfg]))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("codebook built before the cap check")
+
+        monkeypatch.setattr(cli, "build_codebook", no_build)
+        monkeypatch.setattr(codec_sim, "build_codebook", no_build)
+        tail = (["--config", str(code), "--seed", "0"]
+                if command == "equivocation"
+                else ["--grid", str(code), "--seeds", "0"])
+        rc = dispatch(["sim", command, "--channel", str(ch), "--aux",
+                       str(aux)] + tail)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: |Y3|^n = 1073741824 exceeds the enumeration cap 1048576;"
+            " use a smaller blocklength\n")
+
     def test_success(self, ch_file, capsys):
         rc = dispatch(["orderings", "--channel", ch_file, "--pair", "1,3",
                        "--predicate", "degraded"])
@@ -208,6 +237,24 @@ class TestOutputsRoundTrip:
             "w_r0,w_r1,w_r1e,w_r2,w_r2e,R0,R1,R1e,R2,R2e,value")
         assert set(json.loads((tmp_path / "f.csv.aux.json").read_text())) == {
             "m1", "m2", "m3", "nx", "p"}
+
+    def test_equivocation_manifest_reports_enumeration(
+            self, ch_file, aux_file, code_file, tmp_path, capsys):
+        out = tmp_path / "eq.json"
+        rc = dispatch(["sim", "equivocation", "--channel", ch_file, "--aux",
+                       aux_file, "--config", code_file, "--seed", "0",
+                       "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "eq.json.manifest.json")
+                              .read_text())
+        # n = 6 over a binary Y3, two (w1, w2) groups of one codeword
+        assert manifest["extras"]["enumeration"] == {
+            "cells": 2 * 64, "row_blocks": 1, "codeword_chunks": 1,
+            "block_bytes": 8 * 2 * 64}
+        assert set(json.loads(out.read_text())) == {
+            "n", "h_w1", "h_w2", "h_w1_given_y3", "h_w2_given_y3",
+            "h_w12_given_y3", "per_use"}
 
     def test_ordering_report_feeds_outer_eval(self, ch_file, aux_file,
                                               tmp_path, capsys):

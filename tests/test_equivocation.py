@@ -1,13 +1,16 @@
 """Exact wiretapper equivocation by enumeration, with hand-computed oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bcsl import codec_sim
 from bcsl.codec_sim import (CodeConfig, Codebook, build_codebook,
-                            exact_equivocation, secrecy_gap_study)
+                            enumeration_counts, exact_equivocation,
+                            secrecy_gap_study)
 from bcsl.errors import CapabilityError, ValidationError
 
 from conftest import (bsc, product_channel, random_channel,
@@ -102,6 +105,26 @@ class TestGuards:
             exact_equivocation(cb)
 
 
+class TestMemory:
+    def test_wide_table_streams_in_blocks(self, aux):
+        # the shape of the codec benchmark's widest enumeration: a 24 MiB
+        # table that one block of rows at a time never holds whole
+        ch = product_channel(bsc(1 / 3), bsc(1 / 3), bsc(1 / 3))
+        cfg = CodeConfig(n=18, r1e=0.2, r1p=0.3, q2=0.6, eps=0.5, seed=0)
+        cb = build_codebook(cfg, aux, ch)
+        counts = enumeration_counts(cb)
+        assert counts == {"cells": 12 * 2 ** 18, "row_blocks": 25,
+                          "codeword_chunks": 1,
+                          "block_bytes": 8 * 12 * 21 * 2 ** 9}
+        tracemalloc.start()
+        try:
+            exact_equivocation(cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * counts["cells"] / 2
+
+
 class TestGapStudy:
     def test_rows_match_direct_evaluation(self, aux):
         ch = product_channel(bsc(1 / 3), bsc(1 / 3), bsc(1 / 3))
@@ -145,6 +168,9 @@ def _kron_oracle(cb: Codebook) -> tuple[float, float, float]:
             h(table) - h_y)
 
 
+_FEW_CELLS = 24
+
+
 def _sized(n: int, k: int) -> float:
     """A rate whose message size at blocklength n is k."""
     return math.log2(k) / n
@@ -156,6 +182,10 @@ def _sized(n: int, k: int) -> float:
 # more codewords per (w1, w2) group than ny3^(n - n//2): blocked sums
 @example(n=1, ny3=3, sizes=(3, 2, 2, 1, 1, 2), seed=1)
 @example(n=5, ny3=2, sizes=(3, 2, 2, 2, 1, 3), seed=2)
+# at _FEW_CELLS: two row blocks of 3 + 1 rows (binary), and of 2 + 1 rows
+# (ternary, odd n)
+@example(n=5, ny3=2, sizes=(1, 1, 2, 1, 1, 1), seed=3)
+@example(n=3, ny3=3, sizes=(2, 1, 1, 1, 1, 1), seed=4)
 def test_stacked_equivocation_matches_kron_loop(n, ny3, sizes, seed):
     nw0, nw1, nw1p, np3, np1, np1p = sizes
     rng = np.random.default_rng(seed)
@@ -169,7 +199,12 @@ def test_stacked_equivocation_matches_kron_loop(n, ny3, sizes, seed):
     empty = np.zeros((nw0, 1, n), dtype=np.int64)
     cb = Codebook(cfg, uniform_binary_input_aux(), ch, empty[:, 0], empty,
                   empty, np.zeros(sizes[:4] + (2,), dtype=np.int64), x)
-    rep = exact_equivocation(cb)
     want = _kron_oracle(cb)
-    got = (rep.h_w1_given_y3, rep.h_w2_given_y3, rep.h_w12_given_y3)
-    assert got == pytest.approx(want, abs=1e-12)
+    # the default block, then blocks of a few cells: several row blocks,
+    # some with a ragged last one
+    for cells in (codec_sim.ENUM_BLOCK_CELLS, _FEW_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec_sim, "ENUM_BLOCK_CELLS", cells)
+            rep = exact_equivocation(cb)
+        got = (rep.h_w1_given_y3, rep.h_w2_given_y3, rep.h_w12_given_y3)
+        assert got == pytest.approx(want, abs=1e-12)
