@@ -102,15 +102,7 @@ def tensor_entropy(p: np.ndarray) -> float:
 def mutual_information(j: JointPmf, group_a: Sequence[str],
                        group_b: Sequence[str]) -> float:
     """I(A;B) in bits between two disjoint groups of axes."""
-    a, b = list(group_a), list(group_b)
-    if not a or not b:
-        raise UsageError("mutual_information: empty axis group")
-    if set(a) & set(b):
-        raise UsageError(f"mutual_information: overlapping groups {a} / {b}")
-    ha = j.group_entropy(a)
-    hb = j.group_entropy(b)
-    hab = j.group_entropy(a + b)
-    return _clamp(ha + hb - hab, "mutual information")
+    return conditional_mi(j, group_a, group_b, ())
 
 
 def conditional_mi(j: JointPmf, group_a: Sequence[str], group_b: Sequence[str],
@@ -124,13 +116,12 @@ def conditional_mi(j: JointPmf, group_a: Sequence[str], group_b: Sequence[str],
         for k in range(i + 1, 3):
             if groups[i] & groups[k]:
                 raise UsageError("conditional_mi: axis sets overlap")
-    if not c:
-        return mutual_information(j, a, b)
-    # I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)
+    # I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), with H() = 0 exactly:
+    # the empty marginal's tensor sum need not be exactly 1
     hac = j.group_entropy(a + c)
     hbc = j.group_entropy(b + c)
     habc = j.group_entropy(a + b + c)
-    hc = j.group_entropy(c)
+    hc = j.group_entropy(c) if c else 0.0
     return _clamp(hac + hbc - habc - hc, "conditional mutual information")
 
 

@@ -734,9 +734,14 @@ def exact_equivocation(cb: Codebook, *, enum_cap: int = DEFAULT_ENUM_CAP
         block = share(parts[0], a0)
         for part in parts[1:]:
             block += share(part, a0)
+        # |W2| = 1 repeats (w1,w2,y) as (w1,y) and (w2,y) as y, value for
+        # value in the same order; |W1| = 1 repeats them the other way round
         w1y = block.sum(axis=1)
-        sums += (_neg_plogp(block), _neg_plogp(w1y),
-                 _neg_plogp(block.sum(axis=0)), _neg_plogp(w1y.sum(axis=0)))
+        h = _neg_plogp(block)
+        h1 = h if nw2 == 1 else _neg_plogp(w1y)
+        h2 = h if nw1 == 1 else _neg_plogp(block.sum(axis=0))
+        sums += (h, h1, h2, h2 if nw2 == 1 else h1 if nw1 == 1
+                 else _neg_plogp(w1y.sum(axis=0)))
     h_w12y3, h_w1y3, h_w2y3, h_y3 = (_clamp(float(v), "entropy")
                                      for v in sums)
     return EquivocationReport(

@@ -7,25 +7,26 @@ whether receiver `a` dominates receiver `b` in the respective sense.
   1e-9) by a linear feasibility program; a row-stochastic factorization
   matrix is returned as witness.
 * more capable: max over input pmfs of I(X;Y_b) − I(X;Y_a) is <= 0 — a
-  nonconcave search, estimated by a deterministic simplex grid plus
-  multi-start projected gradient ascent.
+  nonconcave search: the best scanned input pmf, refined by projected
+  gradient ascent.
 * less noisy: I(U;Y_a) >= I(U;Y_b) for all p(u,x), which holds iff
   I(X;Y_a) − I(X;Y_b) is concave in p(x) (van Dijk, IEEE Trans. IT 43(2),
   1997) — a scan of input pmfs for positive curvature; a positive-curvature
   direction v at p gives the binary-U witness p(x|u) = p ± δv.
 
-Both searches work on the input simplex.  Their verdicts are certified
-only up to search effort; reports carry the restart count and grid
-resolution.  The pass/fail tolerances are asymmetric (pass at <= 1e-7
-violation, fail above 1e-6, indeterminate in between) to avoid flaky
-boundary verdicts.
+Both searches scan the same input pmfs (`_scan_points`): the uniform pmf,
+a simplex grid for nx <= GRID_CAP and 16·restarts seeded Dirichlet draws.
+Their verdicts are certified only up to search effort; reports carry the
+restart count and grid resolution.  The pass/fail tolerances are
+asymmetric (pass at <= 1e-7 violation, fail above 1e-6, indeterminate in
+between) to avoid flaky boundary verdicts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.optimize import linprog
@@ -46,7 +47,7 @@ _LOG2 = np.log(2.0)
 _CHUNK = 64
 # line-search steps along a positive-curvature direction, up to the boundary
 _STEPS = 32
-# projected-gradient iterations per ascent start
+# projected-gradient iterations of the more-capable refinement
 _ASCENT_ITERS = 200
 
 
@@ -113,10 +114,6 @@ def _mi(px: np.ndarray, w: np.ndarray) -> np.ndarray:
     return terms.sum(axis=(-2, -1)) / _LOG2
 
 
-def _chunks(points: np.ndarray):
-    return (points[i:i + _CHUNK] for i in range(0, len(points), _CHUNK))
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of v onto the probability simplex."""
     u = np.sort(v)[::-1]
@@ -156,6 +153,24 @@ def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
              for c in itertools.product(range(resolution + 1), repeat=dim - 1)
              if sum(c) <= resolution]
     return np.array(comps, dtype=float) / resolution
+
+
+def _scan_points(nx: int, restarts: int, seed: int
+                 ) -> tuple[int, Iterator[np.ndarray]]:
+    """The input pmfs both search predicates scan, in stacks of at most
+    _CHUNK rows: the uniform pmf, the GRID_RESOLUTION simplex grid when
+    nx <= GRID_CAP (past that it is too large), then 16·restarts Dirichlet
+    draws from one seeded stream.  Also returns the grid resolution used,
+    0 for no grid."""
+    resolution = GRID_RESOLUTION if nx <= GRID_CAP else 0
+    fixed = np.full((1, nx), 1.0 / nx)
+    if resolution > 0:
+        fixed = np.concatenate([fixed, _simplex_grid(nx, resolution)])
+    rng = np.random.default_rng([seed, 0xABCD])
+    draws = (rng.dirichlet(np.ones(nx), size=min(_CHUNK, 16 * restarts - k))
+             for k in range(0, 16 * restarts, _CHUNK))
+    return resolution, itertools.chain(
+        (fixed[k:k + _CHUNK] for k in range(0, len(fixed), _CHUNK)), draws)
 
 
 def is_degraded(ch: Channel3, a: int, b: int) -> OrderingReport:
@@ -210,9 +225,9 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
                     seed: int = 0) -> OrderingReport:
     """Is receiver a more capable than b: I(X;Y_a) >= I(X;Y_b) for all p(x)?
 
-    Maximizes I(X;Y_b) − I(X;Y_a) by a deterministic simplex grid (for
-    nx <= GRID_CAP; larger inputs fall back to the ascent alone) plus
-    multi-start projected gradient ascent.
+    Scores I(X;Y_b) − I(X;Y_a) on every `_scan_points` input pmf, then
+    refines the best one by projected gradient ascent; the gap is the
+    ascent's value, its input pmf the witness.
     """
     _check_args(a, b, restarts)
     if a == b:
@@ -233,23 +248,13 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
             return terms.sum(axis=1) / _LOG2
         return part(wb) - part(wa)
 
-    starts: list[np.ndarray] = [np.full(ch.nx, 1.0 / ch.nx)]
-    # past GRID_CAP inputs the grid is too large: multistart only, and the
-    # report says so with grid_resolution 0
-    used_resolution = GRID_RESOLUTION if ch.nx <= GRID_CAP else 0
-    if used_resolution > 0:
-        grid = _simplex_grid(ch.nx, used_resolution)
-        values = np.concatenate([objective(c) for c in _chunks(grid)])
-        starts.append(grid[np.argmax(values)])
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        starts.append(rng.dirichlet(np.ones(ch.nx)))
-
-    best_p, best_val = None, -np.inf
-    for p0 in starts:
-        p, v = _ascend(objective, gradient, p0)
-        if v > best_val:
-            best_p, best_val = p, v
+    used_resolution, points = _scan_points(ch.nx, restarts, seed)
+    start, start_val = None, -np.inf
+    for p in points:
+        values = objective(p)
+        if values.max() > start_val:
+            start, start_val = p[np.argmax(values)], values.max()
+    best_p, best_val = _ascend(objective, gradient, start)
     best_val = float(best_val)
     return OrderingReport("more_capable", (a, b), _band_verdict(best_val),
                           best_val, best_p, ch.sha256, restarts=restarts,
@@ -266,8 +271,7 @@ def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
                   seed: int = 0) -> OrderingReport:
     """Is receiver a less noisy than b: I(U;Y_a) >= I(U;Y_b) for all p(u,x)?
 
-    Scans input pmfs p (uniform, the simplex grid's interior for
-    nx <= GRID_CAP, 16·restarts Dirichlet draws) for a positive top
+    Scans the interior `_scan_points` input pmfs p for a positive top
     eigenvalue of the Hessian of I(X;Y_a) − I(X;Y_b) on the simplex's
     tangent space, (1/ln 2)[−W_a diag(1/q_a) W_aᵀ + W_b diag(1/q_b) W_bᵀ].
     Along each such eigenvector v, a line search over δ up to the simplex
@@ -283,20 +287,14 @@ def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
     # outputs no input reaches carry no curvature and would divide 0 by 0
     wa, wb = (w[:, w.any(axis=0)]
               for w in (ch.marginal_to(a), ch.marginal_to(b)))
-    used_resolution = GRID_RESOLUTION if nx <= GRID_CAP else 0
-    rng = np.random.default_rng([seed, 0xABCD])
-    draws = (rng.dirichlet(np.ones(nx), size=min(_CHUNK, 16 * restarts - k))
-             for k in range(0, 16 * restarts, _CHUNK))
-    points = [np.full((1, nx), 1.0 / nx)]
-    if used_resolution > 0:
-        grid = _simplex_grid(nx, used_resolution)
-        points.append(grid[(grid > 0).all(axis=1)])
+    used_resolution, points = _scan_points(nx, restarts, seed)
     # orthonormal basis of the tangent space {v : sum(v) = 0}
     basis = np.linalg.qr(np.eye(nx)[:, :-1] - 1.0 / nx)[0]
     half = np.full(2, 0.5)
     steps = np.arange(1, _STEPS + 1) / _STEPS
     scanned = 0
-    for p in itertools.chain(_chunks(np.concatenate(points)), draws):
+    for p in points:
+        p = p[(p > 0).all(axis=1)]
         scanned += len(p)
         hess = (_curvature(p, wb) - _curvature(p, wa)) / _LOG2
         lam, vec = np.linalg.eigh(basis.T @ hess @ basis)

@@ -125,6 +125,49 @@ class TestMemory:
         assert peak < 8 * counts["cells"] / 2
 
 
+class TestEntropySums:
+    @pytest.mark.parametrize("nw1, nw2, calls", [
+        (3, 1, 2), (1, 3, 2), (2, 2, 4), (1, 1, 1)])
+    def test_one_valued_message_reuses_sums(self, nw1, nw2, calls):
+        # a one-valued message makes two of the four tables repeat the
+        # other two: their entropies are reused, and equal a four-sum
+        # reference over the same blocks exactly
+        n, rng = 5, np.random.default_rng(nw1 * 10 + nw2)
+        ch = random_channel(rng, 2, 2, 2, 3)
+        sizes = (1, nw1, 2, 1, nw2, 1)
+        cfg = CodeConfig(n=n, r1e=_sized(n, nw1), r1p=_sized(n, 2),
+                         p1e=_sized(n, nw2), eps=1.0)
+        x = rng.integers(0, 2, size=sizes + (n,))
+        empty = np.zeros((1, 1, n), dtype=np.int64)
+        cb = Codebook(cfg, uniform_binary_input_aux(), ch, empty[:, 0], empty,
+                      empty, np.zeros(sizes[:4] + (2,), dtype=np.int64), x)
+        neg_plogp, blocks = codec_sim._neg_plogp, []
+
+        def counted(t):
+            if t.ndim == 4:
+                blocks.append(t.copy())
+            counted.calls += 1
+            return neg_plogp(t)
+
+        counted.calls = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec_sim, "_neg_plogp", counted)
+            mp.setattr(codec_sim, "ENUM_BLOCK_CELLS", _FEW_CELLS)
+            rep = exact_equivocation(cb)
+            rows = enumeration_counts(cb)["row_blocks"]
+        assert rows > 1 and len(blocks) == rows
+        assert counted.calls == calls * rows
+        sums = np.zeros(4)
+        for block in blocks:
+            w1y = block.sum(axis=1)
+            sums += (neg_plogp(block), neg_plogp(w1y),
+                     neg_plogp(block.sum(axis=0)), neg_plogp(w1y.sum(axis=0)))
+        h_w12y3, h_w1y3, h_w2y3, h_y3 = (float(v) for v in sums)
+        assert (rep.h_w1_given_y3, rep.h_w2_given_y3, rep.h_w12_given_y3) \
+            == (max(0.0, h_w1y3 - h_y3), max(0.0, h_w2y3 - h_y3),
+                max(0.0, h_w12y3 - h_y3))
+
+
 class TestGapStudy:
     def test_rows_match_direct_evaluation(self, aux):
         ch = product_channel(bsc(1 / 3), bsc(1 / 3), bsc(1 / 3))
