@@ -93,9 +93,9 @@ class IneqSystem:
         return [s for s in self.symbols() if is_constant_symbol(s)]
 
     # -- transformations -----------------------------------------------
-    def substitute(self, var: str, expr: Mapping[str, Fraction],
-                   const: Fraction = Fraction(0)) -> "IneqSystem":
-        """Replace `var` by the affine expression `expr . symbols + const`."""
+    def substitute(self, var: str, expr: Mapping[str, Fraction]
+                   ) -> "IneqSystem":
+        """Replace `var` by the linear expression `expr . symbols`."""
         out = []
         for row in self.rows:
             c = row.coeff(var)
@@ -106,7 +106,7 @@ class IneqSystem:
             del coeffs[var]
             for s, e in expr.items():
                 coeffs[s] = coeffs.get(s, Fraction(0)) + c * Fraction(e)
-            out.append(Ineq.make(coeffs, row.rhs - c * const, row.tag))
+            out.append(Ineq.make(coeffs, row.rhs, row.tag))
         return IneqSystem(tuple(out))
 
     def rename_constants(self, mapping: Mapping[str, str | None]) -> "IneqSystem":

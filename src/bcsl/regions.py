@@ -30,6 +30,9 @@ from .orderings import OrderingReport
 
 MARKOV_TOL = 1e-9
 MATCH_TOL = 1e-9
+# HiGHS's default primal feasibility tolerance: a bound's polytope is
+# feasible when no rhs is below -LP_FEAS_TOL
+LP_FEAS_TOL = 1e-7
 
 RATE_SYMBOLS = ("R0", "R1", "R1e", "R2", "R2e")
 
@@ -202,21 +205,9 @@ class PolytopeRow:
 
 
 @dataclass(frozen=True)
-class SideCondition:
-    tag: str
-    lhs: float
-    rhs: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.lhs <= self.rhs + MATCH_TOL
-
-
-@dataclass(frozen=True)
 class RatePolytope:
     bound: str
     rows: tuple[PolytopeRow, ...]
-    side_conditions: tuple[SideCondition, ...] = ()
     free_symbols: tuple[str, ...] = RATE_SYMBOLS  # rates not pinned to zero
     notes: tuple[str, ...] = ()
 
@@ -226,14 +217,19 @@ class RatePolytope:
                 return r
         raise KeyError(tag)
 
+    @property
+    def feasible(self) -> bool:
+        """Whether r = 0 meets every row, which for a bound's rows (those
+        with information constants have nonnegative rate coefficients) is
+        whether the polytope is nonempty."""
+        return all(r.rhs >= -LP_FEAS_TOL for r in self.rows)
+
     def to_dict(self) -> dict:
         return {
             "bound": self.bound,
             "rows": [{"tag": r.tag, "coeffs": dict(r.coeffs), "rhs_bits": r.rhs}
                      for r in self.rows],
-            "side_conditions": [{"tag": s.tag, "lhs_bits": s.lhs,
-                                 "rhs_bits": s.rhs, "satisfied": s.satisfied}
-                                for s in self.side_conditions],
+            "feasible": self.feasible,
             "free_symbols": list(self.free_symbols),
             "notes": list(self.notes),
         }
@@ -274,8 +270,8 @@ Terms = tuple[tuple[int, str], ...]
 class BoundTemplate:
     """One bound family compiled from its fixture.
 
-    rows: (tag, rate coefficients, RHS terms) per polytope row;
-    conditions: (tag, LHS terms, RHS terms) per constants-only row;
+    rows: (tag, rate coefficients, RHS terms) per fixture row, a row with
+    no rate terms (a side condition) having no rate coefficients;
     free_symbols: the rates the rows use (the others are pinned to zero);
     constants: the (A, B, C) groups of each MI constant the rows name.
 
@@ -291,7 +287,6 @@ class BoundTemplate:
     """
 
     rows: tuple[tuple[str, tuple[tuple[str, int], ...], Terms], ...]
-    conditions: tuple[tuple[str, Terms, Terms], ...]
     free_symbols: tuple[str, ...]
     constants: Mapping[str, tuple[tuple[str, ...], ...]]
     entropy_sets: tuple[tuple[str, ...], ...]
@@ -317,33 +312,27 @@ def _a_ub(rates: Iterable[Iterable[tuple[str, int]]]) -> np.ndarray:
 
 @functools.cache
 def _compile(bound: BoundId) -> BoundTemplate:
-    rows, conditions = [], []
+    rows = []
     for ineq in load_fixture(_FIXTURES[bound]).rows:
         if ineq.rhs != 0:
             raise ValidationError(
                 f"bound row {ineq.tag}: numeric constant {ineq.rhs}")
         coeffs = [(s, _int_coeff(ineq.tag, s, c)) for s, c in ineq.coeffs]
         rates = tuple((s, c) for s, c in coeffs if not is_constant_symbol(s))
-        consts = [(c, s) for s, c in coeffs if is_constant_symbol(s)]
-        if not rates:
-            conditions.append((ineq.tag,
-                               tuple((c, s) for c, s in consts if c > 0),
-                               tuple((-c, s) for c, s in consts if c < 0)))
-        elif not (bound is BoundId.OUTER_NO_SECRECY
-                  and any(s in _SECRECY_RATES for s, _ in rates)):
-            rows.append((ineq.tag, rates, tuple((-c, s) for c, s in consts)))
-    for tag, rates, terms in rows:
+        terms = tuple((-c, s) for s, c in coeffs if is_constant_symbol(s))
         # the scorer's feasibility rule: r = 0 is feasible iff every rhs
         # is >= 0, which needs every row with constants to be nonnegative
         if terms and any(c < 0 for _, c in rates):
             raise ValidationError(
-                f"bound row {tag}: negative rate coefficient in a row with "
-                "information constants")
+                f"bound row {ineq.tag}: negative rate coefficient in a row "
+                "with information constants")
+        if not (bound is BoundId.OUTER_NO_SECRECY
+                and any(s in _SECRECY_RATES for s, _ in rates)):
+            rows.append((ineq.tag, rates, terms))
     used = {s for _, rates, _ in rows for s, _ in rates}
     free = tuple(s for s in RATE_SYMBOLS if s in used)
-    terms = [t for _, _, ts in rows for t in ts]
-    terms += [t for _, lhs, rhs in conditions for t in lhs + rhs]
-    constants = {name: parse_mi_name(name) for _, name in terms}
+    constants = {name: parse_mi_name(name)
+                 for _, _, ts in rows for _, name in ts}
 
     a_ub = _a_ub(rates for _, rates, _ in rows)
     sets: dict[tuple[str, ...], int] = {}     # axis set -> entropy column
@@ -368,14 +357,10 @@ def _compile(bound: BoundId) -> BoundTemplate:
 
     for arr in (mi_from_h, rhs_from_mi, row_group, a_groups):
         arr.setflags(write=False)
-    return BoundTemplate(tuple(rows), tuple(conditions), free, constants,
-                         tuple(sets), mi_from_h, rhs_from_mi, row_group,
-                         a_groups)
+    return BoundTemplate(tuple(rows), free, constants, tuple(sets),
+                         mi_from_h, rhs_from_mi, row_group, a_groups)
 
 
-# HiGHS's default primal feasibility tolerance: polytope_lp finds the
-# polytope feasible when no rhs is below -LP_FEAS_TOL
-LP_FEAS_TOL = 1e-7
 # bases of the dual vertex enumeration solved per batch
 _BASIS_CHUNK = 512
 
@@ -414,21 +399,23 @@ def _dual_vertices(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 class _Scorer:
     """The frontier search's score of an auxiliary for one (bound, channel,
-    weights): max w . r over the bound's polytope, None when it is empty.
+    weights): (True, max w . r over the bound's polytope) when the polytope
+    is nonempty, else (False, the least rhs), so a search can climb an
+    infeasible auxiliary toward feasibility.
 
     Each MI constant comes from a table of the entropies the bound needs.
     The entropy of an axis set is taken from the aux marginal p(S_U, x)
     times the channel marginal p(S_Y | x), summed over x when X is not in
     the set, so the seven-axis joint is never built.  rhs = C @ mi, and g
     is the least rhs in each group of rows with equal rate coefficients.
-    Every row with constants has nonnegative rate coefficients, and the
-    rest have rhs 0, so r = 0 is feasible iff no rhs is below zero (up to
-    polytope_lp's tolerance).  Then the LP value is the least g . v over
-    the vertices v of the dual polyhedron {y >= 0 : A^T y >= w}, which is
-    enumerated once.  Scores agree with polytope_lp(_instantiate(...)) to
-    about 1e-14, except where HiGHS returns a point that violates a row
-    within its tolerance; the reported auxiliary goes through eval_bound
-    and polytope_lp."""
+    Every row with constants has nonnegative rate coefficients (a side
+    condition has none), and the rest have rhs 0, so r = 0 is feasible iff
+    no rhs is below zero (up to polytope_lp's tolerance).  Then the LP
+    value is the least g . v over the vertices v of the dual polyhedron
+    {y >= 0 : A^T y >= w}, which is enumerated once.  Scores agree with
+    polytope_lp(_instantiate(...)) to about 1e-14, except where HiGHS
+    returns a point that violates a row within its tolerance; the reported
+    auxiliary goes through eval_bound and polytope_lp."""
 
     def __init__(self, bound: BoundId, ch: Channel3, w: np.ndarray):
         t = self.t = _compile(bound)
@@ -446,7 +433,7 @@ class _Scorer:
         self.calls = 0
         self.infeasible = 0
 
-    def __call__(self, aux: AuxJoint) -> float | None:
+    def __call__(self, aux: AuxJoint) -> tuple[bool, float]:
         self.calls += 1
         marginals: dict[tuple[int, ...], np.ndarray] = {}   # p(S_U, x)
         joints = []
@@ -466,9 +453,12 @@ class _Scorer:
             raise ValidationError(
                 f"conditional mutual information = {mi.min()}: negative "
                 "beyond tolerance")
-        val = self.value(self.t.rhs_from_mi @ np.maximum(mi, 0.0))
-        self.infeasible += val is None
-        return val
+        rhs = self.t.rhs_from_mi @ np.maximum(mi, 0.0)
+        val = self.value(rhs)
+        if val is None:
+            self.infeasible += 1
+            return False, float(rhs.min())
+        return True, val
 
     def value(self, rhs: np.ndarray) -> float | None:
         """The LP value for the rhs of the rows, then 0 for R1e <= R1 and
@@ -568,15 +558,9 @@ def _instantiate(bound: BoundId, joint: JointPmf, notes: Sequence[str] = ()
     t = _compile(bound)
     mi = {name: conditional_mi(joint, *groups)
           for name, groups in t.constants.items()}
-
-    def value(terms: Terms) -> float:
-        return sum(c * mi[name] for c, name in terms)
-
-    rows = tuple(PolytopeRow(tag, rates, value(terms))
+    rows = tuple(PolytopeRow(tag, rates, sum(c * mi[n] for c, n in terms))
                  for tag, rates, terms in t.rows)
-    conds = tuple(SideCondition(tag, value(lhs), value(rhs))
-                  for tag, lhs, rhs in t.conditions)
-    return RatePolytope(bound.value, rows, conds, t.free_symbols, tuple(notes))
+    return RatePolytope(bound.value, rows, t.free_symbols, tuple(notes))
 
 
 def type2_aux(p_ux: np.ndarray, nx: int) -> AuxJoint:
@@ -697,11 +681,10 @@ def polytope_lp(pol: RatePolytope, weights: Sequence[float]
     Returns None when infeasible."""
     w = np.asarray(weights, float)
     b_ub = np.array([row.rhs for row in pol.rows] + [0.0, 0.0])
-    a_eq = np.eye(len(RATE_SYMBOLS))[
-        [i for i, s in enumerate(RATE_SYMBOLS) if s not in pol.free_symbols]]
+    # a pinned rate is a fixed variable, so HiGHS returns it as exactly 0
+    bounds = [(0, None if s in pol.free_symbols else 0) for s in RATE_SYMBOLS]
     res = linprog(-w, A_ub=_a_ub(r.coeffs for r in pol.rows), b_ub=b_ub,
-                  A_eq=a_eq, b_eq=np.zeros(len(a_eq)), bounds=[(0, None)] * 5,
-                  method="highs")
+                  bounds=bounds, method="highs")
     if not res.success:
         return None
     vals = np.maximum(res.x, 0.0)
@@ -714,11 +697,13 @@ def polytope_lp(pol: RatePolytope, weights: Sequence[float]
 @dataclass(frozen=True)
 class SearchEffort:
     """What one frontier search did: auxiliaries scored, how many of them
-    were infeasible, the size of the dual vertex table and the restart
-    whose auxiliary is reported.  For the run manifest, never the output."""
+    were infeasible, the restarts that never became feasible, the size of
+    the dual vertex table and the restart whose auxiliary is reported.  For
+    the run manifest, never the output."""
 
     evaluations: int
     infeasible: int
+    infeasible_restarts: int
     dual_vertices: int
     winning_restart: int
 
@@ -734,50 +719,61 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
 
     Searched auxiliaries are FactorBlocks, Markov by construction, scored
     by _Scorer; only the reported one goes through eval_bound's gate and
-    the HiGHS solve of polytope_lp.
+    the HiGHS solve of polytope_lp.  A step is taken when the candidate's
+    score beats the current one: a feasible score beats an infeasible one,
+    and otherwise the larger value wins by more than 1e-12.  So a restart
+    whose start is infeasible climbs its least rhs until the polytope is
+    nonempty, then climbs the LP value; only restarts that end feasible
+    compete for the result.
 
     The result is a lower bound on the true optimum for inner bounds and a
     heuristic certificate point for outer bounds.
     """
     bound = BoundId(bound)
     w = np.asarray(weights, float)
-    if w.shape != (5,) or np.any(w < 0) or not np.any(w > 0):
-        raise UsageError("weights must be 5 nonnegative reals, not all zero")
+    if (w.shape != (5,) or not np.all(np.isfinite(w)) or np.any(w < 0)
+            or not np.any(w > 0)):
+        raise UsageError(
+            "weights must be 5 finite nonnegative reals, not all zero")
     m1, m2, m3 = cfg.sizes(ch.nx)
     _preconditions(bound, ch, ordering_reports, override)
     evaluate = _Scorer(bound, ch, w)
 
-    best: tuple[float, int, AuxJoint] | None = None
+    def beats(a: tuple[bool, float], b: tuple[bool, float]) -> bool:
+        return a[0] > b[0] or (a[0] == b[0] and a[1] > b[1] + 1e-12)
+
+    best: tuple[tuple[bool, float], int, AuxJoint] | None = None
+    infeasible_restarts = 0
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         state = (FactorBlocks.uniform(m1, m2, m3, ch.nx) if restart == 0
                  else FactorBlocks.random(rng, m1, m2, m3, ch.nx))
         aux = state.to_aux()
-        val = evaluate(aux)
-        if val is None:
-            continue
+        key = evaluate(aux)
         for _ in range(cfg.iters):
             cand = state.perturbed(rng, PERTURB_STEP)
             caux = cand.to_aux()
-            cval = evaluate(caux)
-            if cval is not None and cval > val + 1e-12:
-                state, aux, val = cand, caux, cval
-        if best is None or val > best[0] + 1e-12:
-            best = (val, restart, aux)
+            ckey = evaluate(caux)
+            if beats(ckey, key):
+                state, aux, key = cand, caux, ckey
+        if not key[0]:
+            infeasible_restarts += 1
+        elif best is None or beats(key, best[0]):
+            best = (key, restart, aux)
     if best is None:
-        pol = eval_bound(bound, ch,
-                         FactorBlocks.uniform(m1, m2, m3, ch.nx).to_aux(),
-                         ordering_reports=ordering_reports, override=override)
-        violated = [sc.tag for sc in pol.side_conditions if not sc.satisfied]
         raise ValidationError(
-            "polytope infeasible at every searched auxiliary"
-            + (f"; violated side conditions: {violated}" if violated else ""))
+            "polytope infeasible at every searched auxiliary")
     _, restart, aux = best
     pol = eval_bound(bound, ch, aux, ordering_reports=ordering_reports,
                      override=override)
-    rate, value = polytope_lp(pol, w)
+    solved = polytope_lp(pol, w)
+    if solved is None:
+        raise ValidationError(
+            "HiGHS found no optimum at the reported auxiliary")
+    rate, value = solved
     return rate, aux, value, SearchEffort(
-        evaluate.calls, evaluate.infeasible, len(evaluate.vertices), restart)
+        evaluate.calls, evaluate.infeasible, infeasible_restarts,
+        len(evaluate.vertices), restart)
 
 
 def _renorm(v: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from bcsl import cli, codec_sim
 from bcsl.cli import dispatch, parse_channel
 from bcsl.errors import ValidationError
 
-from conftest import bsc, cascade_channel, product_channel
+from conftest import bsc, cascade_channel, product_channel, random_channel
 
 
 @pytest.fixture()
@@ -145,6 +145,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert flag[2:] in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("weight,rc,message", [
+        ("nan", 2, "usage error: weights must be 5 finite"),
+        ("inf", 2, "usage error: weights must be 5 finite"),
+        # HiGHS reads a cost of 1e20 or more as infinite and finds no optimum
+        ("1e20", 1, "error: HiGHS found no optimum")])
+    def test_frontier_weight_out_of_range(self, weight, rc, message,
+                                          ch_file, capsys):
+        got = dispatch(["regions", "frontier", "--channel", ch_file,
+                        "--bound", "inner3dm",
+                        "--weights", f"1,1,1,1,{weight}",
+                        "--restarts", "1", "--iters", "1", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert got == rc
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     @pytest.mark.parametrize("command", ["equivocation", "study"])
     def test_enumeration_cap_fails_before_codebook(self, command, tmp_path,
                                                    monkeypatch, capsys):
@@ -216,22 +232,34 @@ class TestOutputsRoundTrip:
 
     def test_frontier_manifest_reports_search_effort(self, ch_file,
                                                      tmp_path, capsys):
+        rand = tmp_path / "rand.json"
+        rand.write_text(json.dumps(random_channel(
+            np.random.default_rng(7), 2, 2, 3, 2).to_dict()))
+        cases = [
+            # every auxiliary scored here is feasible
+            (["--bound", "inner3dm", "--channel", ch_file,
+              "--weights", "1,1,1,1,1"], 4,
+             {"infeasible": 0, "infeasible_restarts": 0,
+              "dual_vertices": 48, "winning_restart": 0}),
+            # the first of six random channels on which every start of the
+            # region_type2 search is infeasible: two restarts climb to a
+            # nonempty polytope within 30 steps, one does not
+            (["--bound", "region_type2", "--override", "--channel",
+              str(rand), "--weights", "1,1,1,0,0"], 30,
+             {"infeasible": 82, "infeasible_restarts": 1,
+              "dual_vertices": 2, "winning_restart": 0})]
         out = tmp_path / "f.csv"
-        rc = dispatch(["regions", "frontier", "--bound", "inner3dm",
-                       "--channel", ch_file, "--weights", "1,1,1,1,1",
-                       "--seed", "0", "--restarts", "3", "--iters", "4",
-                       "--out", str(out)])
-        assert rc == 0
-        capsys.readouterr()
-        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
-        search = manifest["extras"]["search"]
-        assert set(search) == {"evaluations", "infeasible", "dual_vertices",
-                               "winning_restart"}
-        # every restart is feasible here, so each scores 1 + iters points
-        assert search["infeasible"] == 0
-        assert search["evaluations"] == 3 * (4 + 1)
-        assert search["winning_restart"] in range(3)
-        assert search["dual_vertices"] == 48    # inner3dm, w = (1,1,1,1,1)
+        for argv, iters, want in cases:
+            rc = dispatch(["regions", "frontier", *argv, "--seed", "0",
+                           "--restarts", "3", "--iters", str(iters),
+                           "--out", str(out)])
+            assert rc == 0
+            capsys.readouterr()
+            manifest = json.loads(
+                (tmp_path / "f.csv.manifest.json").read_text())
+            # every restart scores its start and one candidate per step
+            assert manifest["extras"]["search"] == {
+                "evaluations": 3 * (iters + 1), **want}
         # the effort stays out of the primary output and the sidecar
         assert out.read_text().splitlines()[0] == (
             "w_r0,w_r1,w_r1e,w_r2,w_r2e,R0,R1,R1e,R2,R2e,value")

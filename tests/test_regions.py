@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcsl.channel_core import conditional_mi, induced_joint
+from bcsl.channel_core import Channel3, conditional_mi, induced_joint
 from bcsl.errors import PreconditionError, UsageError, ValidationError
 from bcsl.fme import IneqSystem, is_constant_symbol, load_fixture
 from bcsl.orderings import is_less_noisy, is_more_capable
-from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, PERTURB_STEP,
-                          PolytopeRow, RatePolytope, RateTuple, SearchConfig,
-                          _FIXTURES, _Scorer, _compile, _instantiate,
-                          _preconditions, check_markov, eval_bound,
-                          eval_cor3_match, max_weighted_rate, parse_mi_name,
-                          polytope_lp)
+from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, LP_FEAS_TOL,
+                          PERTURB_STEP, PolytopeRow, RatePolytope, RateTuple,
+                          SearchConfig, _FIXTURES, _Scorer, _compile,
+                          _instantiate, _preconditions, check_markov,
+                          eval_bound, eval_cor3_match, max_weighted_rate,
+                          parse_mi_name, polytope_lp)
 
 from conftest import (bsc, cascade_channel, check_benchmark_key,
                       identical_y1_y3_channel, ksym,
@@ -101,8 +101,9 @@ class TestRateTuple:
 
 class TestEvalBound:
     def test_rhs_matches_brute_force(self, rng, cascade):
-        # every row and side condition of every bound equals its fixture
-        # inequality, recomputed independently from the raw joint
+        # every row of every bound equals its fixture inequality, recomputed
+        # independently from the raw joint; a side condition (a fixture row
+        # with no rate terms) is a row with no rate coefficients
         for _ in range(5):
             aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
             j = induced_joint(cascade, aux)
@@ -116,7 +117,7 @@ class TestEvalBound:
                 pol = eval_bound(bound, cascade, aux, override=True)
                 fixture = {r.tag: r
                            for r in load_fixture(_FIXTURES[bound]).rows}
-                tags = [r.tag for r in pol.rows + pol.side_conditions]
+                tags = [r.tag for r in pol.rows]
                 assert set(tags) <= set(fixture)
                 if bound is not BoundId.OUTER_NO_SECRECY:
                     assert tags == list(fixture)
@@ -126,9 +127,12 @@ class TestEvalBound:
                         s: c for s, c in ineq.coeffs
                         if not is_constant_symbol(s)}
                     assert row.rhs == pytest.approx(-consts(ineq), abs=1e-10)
-                for sc in pol.side_conditions:
-                    assert sc.lhs - sc.rhs == pytest.approx(
-                        consts(fixture[sc.tag]), abs=1e-10)
+                rate_free = {r.tag for r in pol.rows if r.coeffs == ()}
+                assert rate_free == {
+                    BoundId.INNER_3DM: {"side_condition"},
+                    BoundId.INNER_TYPE1: {"side_condition_a",
+                                          "side_condition_b"},
+                }.get(bound, set())
 
     def test_label_permutation_invariance(self, rng, cascade):
         aux = FactorBlocks.random(rng, 2, 3, 3, 2).to_aux()
@@ -326,6 +330,63 @@ class TestMaxWeightedRate:
             max_weighted_rate(BoundId.INNER_3DM, cascade, [0, 0, 0, 0, 0])
 
 
+def _binary_draws(n):
+    """n seeded (channel, auxiliary) pairs: a binary channel whose rows are
+    Dirichlet(0.3) draws, then a FactorBlocks auxiliary of sizes (1, 2, 2)."""
+    rng = np.random.default_rng(0)
+    for _ in range(n):
+        p = rng.dirichlet(np.full(8, 0.3), size=2).reshape(2, 2, 2, 2)
+        yield Channel3(2, 2, 2, 2, p), FactorBlocks.random(
+            rng, 1, 2, 2, 2).to_aux()
+
+
+class TestSideConditions:
+    """A side condition is a bound row with no rate terms, so the polytope
+    is empty wherever one fails, whatever the rate rows allow."""
+
+    @pytest.mark.parametrize("bound", [BoundId.INNER_3DM,
+                                       BoundId.INNER_TYPE1])
+    def test_broken_side_condition_empties_polytope(self, bound):
+        w = np.ones(5)
+        broken = 0
+        for ch, aux in _binary_draws(120):
+            pol = eval_bound(bound, ch, aux)
+            if pol.feasible or any(r.rhs < -LP_FEAS_TOL
+                                   for r in pol.rows if r.coeffs):
+                continue
+            broken += 1
+            assert _Scorer(bound, ch, w)(aux)[0] is False
+            assert polytope_lp(pol, w) is None
+        assert broken >= 1      # draw 116 breaks both bounds' conditions
+
+    @pytest.mark.parametrize("draw,seed", [(1, 1), (5, 0), (5, 1)])
+    def test_frontier_reports_auxiliary_meeting_side_conditions(self, draw,
+                                                                seed):
+        # on these channels the best points of the rate rows alone break
+        # side_condition_a by 0.015 to 0.040 bits
+        ch, _ = list(_binary_draws(draw + 1))[draw]
+        _, aux, value, _ = max_weighted_rate(
+            BoundId.INNER_TYPE1, ch, [0, 0, 1, 0, 1],
+            SearchConfig(1, 2, 2, restarts=6, iters=60, seed=seed))
+        assert value > 0
+        assert eval_bound(BoundId.INNER_TYPE1, ch, aux).feasible
+
+    @pytest.mark.parametrize("m1", [2, 3])
+    def test_infeasible_starts_climb_to_a_value(self, m1):
+        # on these channels the region_type2 polytope is empty at every
+        # searched start, so a value needs restarts that climb their least
+        # rhs until the polytope is nonempty
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            ch = random_channel(rng, 2, 2, 3, 2)
+            _, aux, value, _ = max_weighted_rate(
+                BoundId.REGION_TYPE2, ch, [1, 1, 1, 0, 0],
+                SearchConfig(m1=m1, restarts=4, iters=60), override=True)
+            assert value > 0.002
+            assert eval_bound(BoundId.REGION_TYPE2, ch, aux,
+                              override=True).feasible
+
+
 # the cascade is degraded toward Y3; in the last channel Y3 is the strongest
 # receiver, so secrecy rows go negative and some polytopes are empty
 _SCORER_CHANNELS = {
@@ -364,11 +425,14 @@ class TestScorer:
                                             m1 + extra3, ch.nx)
                 for _ in range(2):
                     aux = state.to_aux()
-                    got = score(aux)
+                    feasible, got = score(aux)
                     pol = eval_bound(bound, ch, aux, override=True)
                     want = polytope_lp(pol, weights)
-                    assert (got is None) == (want is None)
-                    if got is not None:
+                    assert feasible == (want is not None) == pol.feasible
+                    if not feasible:
+                        assert got == pytest.approx(
+                            min(r.rhs for r in pol.rows), abs=1e-12)
+                    else:
                         # HiGHS may return a point that violates rows by up
                         # to its 1e-7 tolerance; its value then moves by at
                         # most that violation times the largest dual
@@ -376,7 +440,7 @@ class TestScorer:
                         slack = _row_violation(pol, want[0]) * np.abs(
                             score.vertices).sum(axis=1).max()
                         assert abs(got - want[1]) <= 1e-12 + slack
-                    verdicts.append(got is None)
+                    verdicts.append(feasible)
                     state = state.perturbed(rng, PERTURB_STEP)
 
         check()
