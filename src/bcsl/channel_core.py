@@ -23,6 +23,10 @@ NORM_TOL = 1e-12
 # Information quantities down to this far below zero are float noise and
 # clamp to zero; anything lower indicates a real bug and raises.
 HARD_TOL = 1e-6
+# HiGHS's default primal feasibility tolerance: a row that HiGHS reports as
+# met may be violated by this much (a bound's polytope is feasible when no
+# rhs is below -LP_FEAS_TOL)
+LP_FEAS_TOL = 1e-7
 # axes of the joint law that an auxiliary induces through the channel
 JOINT_AXES = ("U1", "U2", "U3", "X", "Y1", "Y2", "Y3")
 

@@ -558,7 +558,7 @@ def _run_trial(cb: Codebook, ch_cdf: np.ndarray, trial: int, seed: int
 
 
 def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
-             seed: int, *, codebook: Codebook | None = None) -> SimReport:
+             seed: int) -> SimReport:
     """Monte Carlo block-error estimation.
 
     Per-trial randomness is counter-based on (seed, trial), so the report
@@ -568,7 +568,7 @@ def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
     if trials < 1:
         raise UsageError(f"trials must be at least 1, got {trials}")
     t0 = time.time()
-    cb = codebook if codebook is not None else build_codebook(cfg, aux, ch)
+    cb = build_codebook(cfg, aux, ch)
     ch_cdf = _cdf_rows(cb.ch.p.reshape(cb.ch.nx, -1))
     results = [_run_trial(cb, ch_cdf, t, seed) for t in range(trials)]
     e1 = sum(r[0] for r in results)

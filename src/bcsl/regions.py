@@ -12,6 +12,7 @@ auxiliary is a single certificate point, never the region itself.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -22,17 +23,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .channel_core import (HARD_TOL, JOINT_AXES, NORM_TOL, Channel3, JointPmf,
-                           _check_probs, conditional_mi, induced_joint)
+from .channel_core import (HARD_TOL, JOINT_AXES, LP_FEAS_TOL, NORM_TOL,
+                           Channel3, JointPmf, _check_probs, conditional_mi,
+                           induced_joint)
 from .errors import PreconditionError, UsageError, ValidationError
 from .fme import is_constant_symbol, load_fixture
 from .orderings import OrderingReport
 
 MARKOV_TOL = 1e-9
 MATCH_TOL = 1e-9
-# HiGHS's default primal feasibility tolerance: a bound's polytope is
-# feasible when no rhs is below -LP_FEAS_TOL
-LP_FEAS_TOL = 1e-7
 
 RATE_SYMBOLS = ("R0", "R1", "R1e", "R2", "R2e")
 
@@ -74,44 +73,35 @@ class AuxJoint:
                         int(d["nx"]), np.asarray(d["p"], float))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorBlocks:
-    """Parameterization of the admissible auxiliary family used for search.
+    """Parameterization of the admissible auxiliary family used for search:
+    a point of a product of simplices, one per block.
 
-    U2 and U3 symbols are partitioned among the U1 values (owner of symbol j
-    is j mod m1), so U1 is a deterministic function of U2 and of U3 and every
-    required Markov chain holds exactly.  Blocks: p(u1); p(u2|u1) supported on
-    the symbols owned by u1; p(u3,x|u2) with u3 supported on the symbols owned
-    by the same u1.
+    U2 and U3 symbols are partitioned among the U1 values (u1 = a owns the
+    symbols a, a + m1, a + 2·m1, ...), so U1 is a deterministic function of
+    U2 and of U3 and every required Markov chain holds exactly.  blocks:
+    p(u1); then p(u2|u1) per u1, over the symbols it owns; then p(u3,x|u2)
+    per u2, over the u3 symbols owned by the same u1 times X, flattened.
     """
 
     m1: int
     m2: int
     m3: int
     nx: int
-    p1: np.ndarray
-    p21: list[np.ndarray]   # per u1, over own2(u1)
-    p32: list[np.ndarray]   # per u2, over own3(owner(u2)) x X, flattened
-
-    @staticmethod
-    def owners(m: int, m1: int) -> list[list[int]]:
-        return [[j for j in range(m) if j % m1 == a] for a in range(m1)]
+    blocks: tuple[np.ndarray, ...]
 
     @classmethod
     def _build(cls, m1: int, m2: int, m3: int, nx: int,
                draw: Callable[[int], np.ndarray]) -> "FactorBlocks":
-        """Draw p1, then p21 per u1, then p32 per u2; draw(k) is a pmf on
-        k symbols."""
+        """Draw the blocks in order; draw(k) is a pmf on k symbols."""
         if m2 < m1 or m3 < m1:
             raise UsageError(
                 "auxiliary cardinalities must satisfy m2 >= m1 and m3 >= m1 "
                 "(the coarse layer is embedded in the finer ones)")
-        own2 = cls.owners(m2, m1)
-        own3 = cls.owners(m3, m1)
-        p1 = draw(m1)
-        p21 = [draw(len(own2[a])) for a in range(m1)]
-        p32 = [draw(len(own3[j % m1]) * nx) for j in range(m2)]
-        return cls(m1, m2, m3, nx, p1, p21, p32)
+        sizes = ([m1] + [len(range(a, m2, m1)) for a in range(m1)]
+                 + [len(range(j % m1, m3, m1)) * nx for j in range(m2)])
+        return cls(m1, m2, m3, nx, tuple(draw(k) for k in sizes))
 
     @classmethod
     def random(cls, rng: np.random.Generator, m1: int, m2: int, m3: int,
@@ -131,29 +121,29 @@ class FactorBlocks:
     def uniform(cls, m1: int, m2: int, m3: int, nx: int) -> "FactorBlocks":
         return cls._build(m1, m2, m3, nx, lambda k: np.full(k, 1 / k))
 
+    def joint(self) -> np.ndarray:
+        """p(u1,u2,u3,x) = p(u1) p(u2|u1) p(u3,x|u2), shape (m1, m2, m3, nx),
+        unvalidated: zero off the owned symbols."""
+        m1, m2 = self.m1, self.m2
+        p21 = np.zeros((m1, m2))
+        p32 = np.zeros((m2, self.m3, self.nx))
+        for a in range(m1):
+            p21[a, a::m1] = self.blocks[1 + a]
+        for j in range(m2):
+            p32[j, j % m1::m1] = self.blocks[1 + m1 + j].reshape(-1, self.nx)
+        return self.blocks[0][:, None, None, None] * p21[..., None, None] * p32
+
     def to_aux(self) -> AuxJoint:
-        own2 = self.owners(self.m2, self.m1)
-        own3 = self.owners(self.m3, self.m1)
-        joint = np.zeros((self.m1, self.m2, self.m3, self.nx))
-        for a in range(self.m1):
-            for jj, j in enumerate(own2[a]):
-                block = self.p32[j].reshape(len(own3[a]), self.nx)
-                for kk, k in enumerate(own3[a]):
-                    joint[a, j, k, :] = (self.p1[a] * self.p21[a][jj]
-                                         * block[kk])
-        return AuxJoint(self.m1, self.m2, self.m3, self.nx, joint)
+        return AuxJoint(self.m1, self.m2, self.m3, self.nx, self.joint())
 
     def perturbed(self, rng: np.random.Generator, step: float
                   ) -> "FactorBlocks":
         """Copy with Gaussian noise added to one randomly chosen block."""
-        blocks = [self.p1] + list(self.p21) + list(self.p32)
-        i = int(rng.integers(0, len(blocks)))
-        new = [b.copy() for b in blocks]
-        new[i] = _renorm(new[i] + step * rng.normal(size=new[i].shape))
-        p1 = new[0]
-        p21 = new[1:1 + self.m1]
-        p32 = new[1 + self.m1:]
-        return FactorBlocks(self.m1, self.m2, self.m3, self.nx, p1, p21, p32)
+        i = int(rng.integers(0, len(self.blocks)))
+        b = self.blocks[i]
+        new = _renorm(b + step * rng.normal(size=b.shape))
+        return dataclasses.replace(
+            self, blocks=self.blocks[:i] + (new,) + self.blocks[i + 1:])
 
 
 MARKOV_CHAINS = (
@@ -369,10 +359,15 @@ def _dual_vertices(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The vertices of {y >= 0 : a^T y >= w}, for a of shape (k, n), as rows.
 
     A vertex is a basic feasible solution of [a^T, -I] (y, s) = w with
-    (y, s) >= 0.  The C(k + n, n) bases are solved in fixed-size chunks, so
-    memory stays flat however many there are."""
-    k, n = a.shape
-    m = np.hstack([a.T, -np.eye(n)])
+    (y, s) >= 0.  An all-zero row of a (a group of rate-free rows) is a zero
+    column, in no nonsingular basis, so its y is 0 at every vertex and it
+    forms no bases.  The C(k' + n, n) bases over the k' other rows are
+    solved in fixed-size chunks, so memory stays flat however many there
+    are."""
+    n = a.shape[1]
+    rows = np.flatnonzero(a.any(axis=1))
+    k = len(rows)
+    m = np.hstack([a[rows].T, -np.eye(n)])
     tol = 1e-9 * max(1.0, float(np.abs(w).max(initial=0.0)))
     found = [np.zeros((0, k))]
     flat = itertools.chain.from_iterable(
@@ -391,7 +386,8 @@ def _dual_vertices(a: np.ndarray, w: np.ndarray) -> np.ndarray:
         np.put_along_axis(y, idx[feasible], np.maximum(z[feasible], 0.0),
                           axis=1)
         found.append(y[:, :k])
-    ys = np.concatenate(found)
+    ys = np.zeros((sum(map(len, found)), len(a)))
+    ys[:, rows] = np.concatenate(found)
     # degenerate vertices are reached from several bases; keep one each
     _, first = np.unique(np.round(ys, 9), axis=0, return_index=True)
     return ys[np.sort(first)]
@@ -433,15 +429,16 @@ class _Scorer:
         self.calls = 0
         self.infeasible = 0
 
-    def __call__(self, aux: AuxJoint) -> tuple[bool, float]:
+    def __call__(self, p: np.ndarray) -> tuple[bool, float]:
+        """Score the auxiliary joint p(u1,u2,u3,x), which is not checked."""
         self.calls += 1
         marginals: dict[tuple[int, ...], np.ndarray] = {}   # p(S_U, x)
         joints = []
         for drop_u, has_x, py in self.sets:
             pu = marginals.get(drop_u)
             if pu is None:
-                pu = marginals[drop_u] = aux.p.sum(axis=drop_u).reshape(
-                    -1, aux.nx)
+                pu = marginals[drop_u] = p.sum(axis=drop_u).reshape(
+                    -1, p.shape[3])
             joint = pu if py is None else pu[:, :, None] * py[None]
             joints.append((joint if has_x else joint.sum(axis=1)).ravel())
         sizes = [j.size for j in joints]
@@ -688,10 +685,9 @@ def polytope_lp(pol: RatePolytope, weights: Sequence[float]
     if not res.success:
         return None
     vals = np.maximum(res.x, 0.0)
-    # clamp tiny LP slack in the coupled invariants before constructing
-    r = RateTuple(vals[0], max(vals[1], vals[2]), vals[2],
-                  max(vals[3], vals[4]), vals[4])
-    return r, float(w @ res.x)
+    # clamp tiny LP slack in the coupled invariants, so the value is w . r
+    vals[1], vals[3] = max(vals[1], vals[2]), max(vals[3], vals[4])
+    return RateTuple(*vals), float(w @ vals)
 
 
 @dataclass(frozen=True)
@@ -717,9 +713,9 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
     """Best weighted rate found by LP over the polytope at each auxiliary,
     with the auxiliary improved by random-restart coordinate perturbation.
 
-    Searched auxiliaries are FactorBlocks, Markov by construction, scored
-    by _Scorer; only the reported one goes through eval_bound's gate and
-    the HiGHS solve of polytope_lp.  A step is taken when the candidate's
+    Searched auxiliaries are FactorBlocks, Markov by construction, whose
+    joint arrays _Scorer scores; only the reported one becomes an AuxJoint
+    and goes through eval_bound's gate and the HiGHS solve of polytope_lp.  A step is taken when the candidate's
     score beats the current one: a feasible score beats an infeasible one,
     and otherwise the larger value wins by more than 1e-12.  So a restart
     whose start is infeasible climbs its least rhs until the polytope is
@@ -742,28 +738,27 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
     def beats(a: tuple[bool, float], b: tuple[bool, float]) -> bool:
         return a[0] > b[0] or (a[0] == b[0] and a[1] > b[1] + 1e-12)
 
-    best: tuple[tuple[bool, float], int, AuxJoint] | None = None
+    best: tuple[tuple[bool, float], int, FactorBlocks] | None = None
     infeasible_restarts = 0
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         state = (FactorBlocks.uniform(m1, m2, m3, ch.nx) if restart == 0
                  else FactorBlocks.random(rng, m1, m2, m3, ch.nx))
-        aux = state.to_aux()
-        key = evaluate(aux)
+        key = evaluate(state.joint())
         for _ in range(cfg.iters):
             cand = state.perturbed(rng, PERTURB_STEP)
-            caux = cand.to_aux()
-            ckey = evaluate(caux)
+            ckey = evaluate(cand.joint())
             if beats(ckey, key):
-                state, aux, key = cand, caux, ckey
+                state, key = cand, ckey
         if not key[0]:
             infeasible_restarts += 1
         elif best is None or beats(key, best[0]):
-            best = (key, restart, aux)
+            best = (key, restart, state)
     if best is None:
         raise ValidationError(
             "polytope infeasible at every searched auxiliary")
-    _, restart, aux = best
+    _, restart, state = best
+    aux = state.to_aux()
     pol = eval_bound(bound, ch, aux, ordering_reports=ordering_reports,
                      override=override)
     solved = polytope_lp(pol, w)

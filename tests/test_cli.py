@@ -266,6 +266,23 @@ class TestOutputsRoundTrip:
         assert set(json.loads((tmp_path / "f.csv.aux.json").read_text())) == {
             "m1", "m2", "m3", "nx", "p"}
 
+    def test_frontier_value_is_weights_dot_printed_rates(self, tmp_path,
+                                                         capsys):
+        # HiGHS's optimum on this channel has a rate a hair below zero,
+        # which the printed rates clamp to 0
+        rand = tmp_path / "rand.json"
+        rand.write_text(json.dumps(random_channel(
+            np.random.default_rng(7), 2, 2, 3, 2).to_dict()))
+        out = tmp_path / "f.csv"
+        rc = dispatch(["regions", "frontier", "--bound", "region_type2",
+                       "--override", "--channel", str(rand), "--weights",
+                       "1,1,1,0,0", "--seed", "0", "--restarts", "3",
+                       "--iters", "30", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        row = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+        assert row[10] == np.asarray(row[:5]) @ np.asarray(row[5:10])
+
     def test_equivocation_manifest_reports_enumeration(
             self, ch_file, aux_file, code_file, tmp_path, capsys):
         out = tmp_path / "eq.json"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bcsl.channel_core import Channel3, JointPmf, conditional_mi
 from bcsl.errors import UsageError
@@ -33,6 +33,30 @@ class TestDegraded:
         assert np.allclose(m1 @ w, m3, atol=1e-7)
         assert np.all(w >= -1e-9)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(nx=st.integers(2, 4), ny=st.integers(2, 3),
+           log_eps=st.floats(-9.5, -6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_true_verdict_rests_on_a_checked_witness(self, nx, ny, log_eps,
+                                                     seed):
+        # B = A W moved by 10^log_eps, between DEGRADED_TOL and well past
+        # HiGHS's 1e-7 feasibility tolerance: a true verdict needs a
+        # row-stochastic witness that meets DEGRADED_TOL itself
+        rng = np.random.default_rng(seed)
+        a = rng.dirichlet(np.ones(ny), size=nx)
+        b = a @ rng.dirichlet(np.ones(ny), size=ny)
+        d = rng.normal(size=(nx, ny))
+        d -= d.mean(axis=1, keepdims=True)
+        b += 10 ** log_eps * d / np.abs(d).max()
+        assume(np.all(b >= 0))
+        b /= b.sum(axis=1, keepdims=True)
+        p = np.einsum("xi,j,xk->xijk", a, np.full(2, 0.5), b)
+        rep = is_degraded(Channel3(nx, ny, 2, ny, p), 1, 3)
+        if rep.verdict is True:
+            w = rep.witness
+            assert np.all(w >= 0)
+            assert np.abs(w.sum(axis=1) - 1).max() <= 1e-12
+            assert np.abs(a @ w - b).max() <= 1e-9
 
     def test_self_pair_identity(self, cascade):
         rep = is_degraded(cascade, 2, 2)

@@ -12,11 +12,12 @@ from bcsl.errors import PreconditionError, UsageError, ValidationError
 from bcsl.fme import IneqSystem, is_constant_symbol, load_fixture
 from bcsl.orderings import is_less_noisy, is_more_capable
 from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, LP_FEAS_TOL,
-                          PERTURB_STEP, PolytopeRow, RatePolytope, RateTuple,
-                          SearchConfig, _FIXTURES, _Scorer, _compile,
-                          _instantiate, _preconditions, check_markov,
-                          eval_bound, eval_cor3_match, max_weighted_rate,
-                          parse_mi_name, polytope_lp)
+                          PERTURB_STEP, RATE_SYMBOLS, PolytopeRow,
+                          RatePolytope, RateTuple, SearchConfig, _FIXTURES,
+                          _Scorer, _compile, _dual_vertices, _instantiate,
+                          _preconditions, check_markov, eval_bound,
+                          eval_cor3_match, max_weighted_rate, parse_mi_name,
+                          polytope_lp)
 
 from conftest import (bsc, cascade_channel, check_benchmark_key,
                       identical_y1_y3_channel, ksym,
@@ -40,6 +41,24 @@ def ln_reports(cascade):
             is_less_noisy(cascade, 2, 3, seed=0)]
 
 
+def _owner_loop_joint(state):
+    """p(u1) p(u2|u1) p(u3,x|u2) written entry by entry, u1 = a owning the
+    U2 and U3 symbols j with j mod m1 = a."""
+    m1, m2, m3, nx = state.m1, state.m2, state.m3, state.nx
+    own2 = [[j for j in range(m2) if j % m1 == a] for a in range(m1)]
+    own3 = [[k for k in range(m3) if k % m1 == a] for a in range(m1)]
+    p1, p21, p32 = (state.blocks[0], state.blocks[1:1 + m1],
+                    state.blocks[1 + m1:])
+    assert len(p32) == m2
+    joint = np.zeros((m1, m2, m3, nx))
+    for a in range(m1):
+        for jj, j in enumerate(own2[a]):
+            block = p32[j].reshape(len(own3[a]), nx)
+            for kk, k in enumerate(own3[a]):
+                joint[a, j, k, :] = p1[a] * p21[a][jj] * block[kk]
+    return joint
+
+
 class TestAuxJoint:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(m1=st.integers(1, 3), extra2=st.integers(0, 3),
@@ -55,6 +74,7 @@ class TestAuxJoint:
         state = FactorBlocks.random(rng, m1, m1 + extra2, m1 + extra3, nx)
         for _ in range(steps):
             state = state.perturbed(rng, PERTURB_STEP)
+        assert state.joint().tobytes() == _owner_loop_joint(state).tobytes()
         aux = state.to_aux()
         assert all(r <= 1e-12 for _, r in check_markov(aux))
         joint = induced_joint(ch, aux)
@@ -355,7 +375,7 @@ class TestSideConditions:
                                    for r in pol.rows if r.coeffs):
                 continue
             broken += 1
-            assert _Scorer(bound, ch, w)(aux)[0] is False
+            assert _Scorer(bound, ch, w)(aux.p)[0] is False
             assert polytope_lp(pol, w) is None
         assert broken >= 1      # draw 116 breaks both bounds' conditions
 
@@ -425,7 +445,7 @@ class TestScorer:
                                             m1 + extra3, ch.nx)
                 for _ in range(2):
                     aux = state.to_aux()
-                    feasible, got = score(aux)
+                    feasible, got = score(aux.p)
                     pol = eval_bound(bound, ch, aux, override=True)
                     want = polytope_lp(pol, weights)
                     assert feasible == (want is not None) == pol.feasible
@@ -468,10 +488,42 @@ class TestScorer:
                 assert (got is not None) is feasible, (rows[i].tag, rhs)
 
 
-def test_frontier_agrees_with_benchmark_refs(tmp_path, capsys):
-    # the CSV and auxiliary sidecar of both frontier commands of keys 0-3 of
-    # the frontier benchmark are byte-identical to the seed-commit reference
-    for key in range(4):
-        (tmp_path / str(key)).mkdir()
-        check_benchmark_key("frontier", key, tmp_path / str(key))
+def _dual_vertices_all_rows(a, w):
+    """Reference for _dual_vertices: one batch over every basis of
+    [a^T, -I], all-zero rows of a included."""
+    k, n = a.shape
+    m = np.hstack([a.T, -np.eye(n)])
+    idx = np.array(list(itertools.combinations(range(k + n), n)))
+    bases = m[:, idx].transpose(1, 0, 2)
+    keep = np.abs(np.linalg.det(bases)) > 0.5
+    idx, bases = idx[keep], bases[keep]
+    z = np.linalg.solve(bases, np.broadcast_to(w[:, None],
+                                               (len(bases), n, 1)))[..., 0]
+    feasible = np.all(z >= -1e-9 * max(1.0, np.abs(w).max()), axis=1)
+    y = np.zeros((int(feasible.sum()), k + n))
+    np.put_along_axis(y, idx[feasible], np.maximum(z[feasible], 0.0), axis=1)
+    ys = y[:, :k]
+    _, first = np.unique(np.round(ys, 9), axis=0, return_index=True)
+    return ys[np.sort(first)]
+
+
+@pytest.mark.parametrize("bound", list(BoundId))
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1, 1), (0, 1, 1, 0, 0),
+                                     (1, 1, 1, 0, 0), (0, 0, 1, 0, 1)])
+def test_dual_vertices_skip_rate_free_rows(bound, weights):
+    # a group of rate-free rows is a zero column of every basis that holds
+    # it, so leaving it out of the bases leaves the vertex table as it is
+    t = _compile(bound)
+    w = np.asarray(weights, float)[[RATE_SYMBOLS.index(s)
+                                    for s in t.free_symbols]]
+    want = _dual_vertices_all_rows(t.a_groups, w)
+    assert np.array_equal(_dual_vertices(t.a_groups, w), want)
+
+
+@pytest.mark.parametrize("key", range(16))
+def test_frontier_agrees_with_benchmark_refs(key, tmp_path, capsys):
+    # the CSV and auxiliary sidecar of both frontier commands of every key
+    # of the frontier benchmark are byte-identical to the seed-commit
+    # reference
+    check_benchmark_key("frontier", key, tmp_path)
     capsys.readouterr()
