@@ -19,7 +19,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,10 +63,10 @@ def _finite(v) -> bool:
 class CodeConfig:
     """Blocklength, per-layer rates (bits/use), typicality slack, seed.
 
-    Rate symbols: r0 cloud; r1e secret part and r1p randomization part of the
-    first satellite message with r1dag the pairing headroom; q2/q3 bank
-    rates; p3/p3dag partition of the second bank; p1e/p1p partition of the
-    innermost codeword layer.
+    The rates are the fields between ``n`` and ``eps``: r0 cloud; r1e
+    secret part and r1p randomization part of the first satellite message
+    with r1dag the pairing headroom; q2/q3 bank rates; p3/p3dag partition
+    of the second bank; p1e/p1p partition of the innermost codeword layer.
     """
 
     n: int
@@ -90,8 +90,7 @@ class CodeConfig:
             raise ValidationError("seed must be a nonnegative integer")
         if not (_finite(self.eps) and self.eps > 0):
             raise ValidationError("typicality slack must be positive")
-        for name in ("r0", "r1e", "r1p", "r1dag", "q2", "q3", "p3",
-                     "p3dag", "p1e", "p1p"):
+        for name in _RATE_FIELDS:
             v = getattr(self, name)
             if not (_finite(v) and v >= 0):
                 raise ValidationError(f"rate {name} is negative or not finite")
@@ -129,42 +128,41 @@ class CodeConfig:
                     f"({lhs:.6f} > {rhs:.6f})")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k)
-                for k in ("n", "r0", "r1e", "r1p", "r1dag", "q2", "q3",
-                          "p3", "p3dag", "p1e", "p1p", "eps", "seed")}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: Mapping) -> "CodeConfig":
-        known = {"n", "r0", "r1e", "r1p", "r1dag", "q2", "q3", "p3",
-                 "p3dag", "p1e", "p1p", "eps", "seed"}
-        extra = set(d) - known
+        extra = set(d) - set(_FIELDS)
         if extra:
             raise ValidationError(f"unknown CodeConfig fields: {sorted(extra)}")
-        return CodeConfig(**{k: d[k] for k in d})
+        return CodeConfig(**d)
+
+
+_FIELDS = tuple(f.name for f in fields(CodeConfig))
+_RATE_FIELDS = _FIELDS[_FIELDS.index("n") + 1:_FIELDS.index("eps")]
 
 
 # --------------------------------------------------------------------------
 # strong typicality
 
 
-def typical(counts: np.ndarray, n: int, pmf: np.ndarray, eps: float) -> bool:
+def typical(counts: np.ndarray, n: int, pmf: np.ndarray, eps: float
+            ) -> np.ndarray:
     """Strong typicality: |freq - p| <= eps * p per joint symbol (so symbols
-    of probability zero must not occur)."""
-    return bool(np.all(np.abs(counts / n - pmf) <= eps * pmf + 1e-12))
+    of probability zero must not occur).  `counts` (..., K) holds count
+    vectors along its last axis; one verdict per vector."""
+    return np.all(np.abs(counts / n - pmf) <= eps * pmf + 1e-12, axis=-1)
 
 
 def batch_typical(joint_idx: np.ndarray, n: int, pmf_flat: np.ndarray,
                   eps: float) -> np.ndarray:
-    """Vectorized typicality over C candidate sequences.
-
-    joint_idx: (C, n) flattened joint-symbol indices; pmf_flat: (K,).
-    Returns a boolean vector of length C.
+    """Typicality of C candidate sequences, joint_idx (C, n) of flattened
+    joint-symbol indices into pmf_flat (K,): a boolean vector of length C.
     """
     c, k = joint_idx.shape[0], pmf_flat.size
     offset = joint_idx + np.arange(c)[:, None] * k
     counts = np.bincount(offset.ravel(), minlength=c * k).reshape(c, k)
-    return np.all(np.abs(counts / n - pmf_flat) <= eps * pmf_flat + 1e-12,
-                  axis=1)
+    return typical(counts, n, pmf_flat, eps)
 
 
 def _cdf_rows(rows: np.ndarray) -> np.ndarray:
@@ -221,7 +219,7 @@ def _conditional(joint: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Codebook:
-    """The layered codebook.
+    """The layered codebook: its arrays, and what is derived from them.
 
     The C order of ``pair.shape[:-1]``, (w0, w1, w1p, p3), is the order of
     the product bins, and ``x`` extends it by the inner cell (p1, p1p).
@@ -237,11 +235,6 @@ class Codebook:
     u3: np.ndarray      # (Nw0, Nq3, n), q3 = p3*Np3dag + p3dag
     pair: np.ndarray    # (Nw0, Nw1, Nw1p, Np3, 2) selected (w1dag, p3dag), -1 = fail
     x: np.ndarray       # (Nw0, Nw1, Nw1p, Np3, Np1e, Np1p, n), -1 on failed bins
-    # flattened target pmfs for the decoders
-    pmf_rx1: np.ndarray = field(repr=False, default=None)   # (U1,U2,U3,X,Y1)
-    pmf_u2y2: np.ndarray = field(repr=False, default=None)
-    pmf_u1u2y2: np.ndarray = field(repr=False, default=None)
-    pmf_u3y3: np.ndarray = field(repr=False, default=None)
 
     @functools.cached_property
     def sizes(self) -> dict[str, int]:
@@ -304,6 +297,16 @@ class Codebook:
         rows = self.bin_rows[idx[:4]] * self.aux.nx + self.x[idx]
         return rows, np.stack([w0, w1, self.join_w2(p1, p3)], axis=1)
 
+    @functools.cached_property
+    def decoder_targets(self) -> tuple[np.ndarray, ...]:
+        """Flattened p(u1,u2,u3,x,y1), p(u2,y2), p(u1,u2,y2), p(u3,y3), the
+        pmfs the decoders test typicality against.  Built on first decode,
+        as `rx1_table` is."""
+        j = induced_joint(self.ch, self.aux)
+        return tuple(j.marginal(axes).probs.ravel()
+                     for axes in (["U1", "U2", "U3", "X", "Y1"], ["U2", "Y2"],
+                                  ["U1", "U2", "Y2"], ["U3", "Y3"]))
+
 
 def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
                    retry_cap: int = DEFAULT_RETRY_CAP,
@@ -361,16 +364,9 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
                                             retry_cap, "p(u3|u1)")
 
     # pair and x are filled in place below
-    j = induced_joint(ch, aux)
-    cb = Codebook(
-        cfg, aux, ch, u1, u2, u3,
-        np.full(bins + (2,), -1, dtype=np.int64),
-        np.full(bins + (s["p1e"], s["p1p"], n), -1, dtype=np.int64),
-        pmf_rx1=j.marginal(["U1", "U2", "U3", "X", "Y1"]).probs.ravel(),
-        pmf_u2y2=j.marginal(["U2", "Y2"]).probs.ravel(),
-        pmf_u1u2y2=j.marginal(["U1", "U2", "Y2"]).probs.ravel(),
-        pmf_u3y3=j.marginal(["U3", "Y3"]).probs.ravel(),
-    )
+    cb = Codebook(cfg, aux, ch, u1, u2, u3,
+                  np.full(bins + (2,), -1, dtype=np.int64),
+                  np.full(bins + (s["p1e"], s["p1p"], n), -1, dtype=np.int64))
 
     # Marton pairing: the first jointly typical candidate per product bin,
     # candidates taken in C (lexicographic) order
@@ -463,24 +459,25 @@ def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
         if y.shape != (n,) or y.min() < 0 or y.max() >= ny:
             raise UsageError("received sequence has wrong length or symbols")
 
+    p_rx1, p_u2y2, p_u1u2y2, p_u3y3 = cb.decoder_targets
     # receiver 1: direct joint-typicality scan
     rows1, labels1 = cb.rx1_table
-    ok1 = batch_typical(rows1 * ny1 + y1, n, cb.pmf_rx1, eps)
+    ok1 = batch_typical(rows1 * ny1 + y1, n, p_rx1, eps)
     hit1 = _sole(labels1[ok1])
     rx1 = None if hit1 is None else tuple(hit1)
 
     # receiver 2: indirect cloud decoding through the u2 bank
-    ok2 = batch_typical(cb.u2.reshape(-1, n) * ny2 + y2, n, cb.pmf_u2y2, eps)
+    ok2 = batch_typical(cb.u2.reshape(-1, n) * ny2 + y2, n, p_u2y2, eps)
     w0 = _sole(_lead(ok2, s["r0"]))
     if w0 is None:
         rx2 = None
     else:
         rows = (cb.u1[w0][None, :] * cb.aux.m2 + cb.u2[w0]) * ny2 + y2
-        okb = batch_typical(rows, n, cb.pmf_u1u2y2, eps)
+        okb = batch_typical(rows, n, p_u1u2y2, eps)
         rx2 = (w0, _sole(_lead(okb, s["r1e"])))
 
     # receiver 3: indirect cloud decoding through the u3 bank
-    ok3 = batch_typical(cb.u3.reshape(-1, n) * ny3 + y3, n, cb.pmf_u3y3, eps)
+    ok3 = batch_typical(cb.u3.reshape(-1, n) * ny3 + y3, n, p_u3y3, eps)
     rx3 = _sole(_lead(ok3, s["r0"]))
 
     return DecodeResult(rx1, rx2, rx3)
@@ -505,20 +502,17 @@ def wilson_interval(k: int, m: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class SimReport:
     trials: int
-    errors_rx1: int
-    errors_rx2: int
-    errors_rx3: int
+    errors: tuple[int, int, int]    # block errors at receivers 1, 2, 3
     encode_failures: int
     pairing_failure_fraction: float
     wall_seconds: float
 
     def rate(self, which: int) -> float:
-        k = {1: self.errors_rx1, 2: self.errors_rx2, 3: self.errors_rx3}[which]
+        k = self.errors[which - 1]
         return k / self.trials if self.trials else 0.0
 
     def interval(self, which: int) -> tuple[float, float]:
-        k = {1: self.errors_rx1, 2: self.errors_rx2, 3: self.errors_rx3}[which]
-        return wilson_interval(k, self.trials)
+        return wilson_interval(self.errors[which - 1], self.trials)
 
     def to_dict(self) -> dict:
         out = {"trials": self.trials,
@@ -571,11 +565,8 @@ def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
     cb = build_codebook(cfg, aux, ch)
     ch_cdf = _cdf_rows(cb.ch.p.reshape(cb.ch.nx, -1))
     results = [_run_trial(cb, ch_cdf, t, seed) for t in range(trials)]
-    e1 = sum(r[0] for r in results)
-    e2 = sum(r[1] for r in results)
-    e3 = sum(r[2] for r in results)
-    ef = sum(r[3] for r in results)
-    return SimReport(trials, e1, e2, e3, ef,
+    *errors, failures = map(sum, zip(*results))
+    return SimReport(trials, tuple(errors), failures,
                      cb.pairing_failure_fraction, time.time() - t0)
 
 
@@ -609,11 +600,7 @@ class EquivocationReport:
                 "w12": self.h_w12_given_y3 / self.n}
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "h_w1": self.h_w1, "h_w2": self.h_w2,
-                "h_w1_given_y3": self.h_w1_given_y3,
-                "h_w2_given_y3": self.h_w2_given_y3,
-                "h_w12_given_y3": self.h_w12_given_y3,
-                "per_use": self.per_use}
+        return {**asdict(self), "per_use": self.per_use}
 
 
 def _likelihood_table(ch3: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -788,6 +775,3 @@ def secrecy_gap_study(configs: Sequence[CodeConfig], aux: AuxJoint,
                 "gap_w12": (scfg.r1e + scfg.p1e + scfg.p3) - per["w12"],
             })
     return rows
-
-
-

@@ -8,10 +8,8 @@ from .derivations import (
     base_system_for_appendix,
     derive_inner_bound,
     derive_type1_bound,
-    inner_raw_system,
     load_fixture,
     load_identities,
-    type1_raw_system,
 )
 from .farkas import (
     Certificate,
@@ -38,10 +36,8 @@ __all__ = [
     "check_equivalence",
     "derive_inner_bound",
     "derive_type1_bound",
-    "inner_raw_system",
     "is_constant_symbol",
     "load_fixture",
     "load_identities",
     "remove_redundant",
-    "type1_raw_system",
 ]

@@ -26,6 +26,9 @@ X_LEAK = "I(X;Y3|U2)"
 INNER_ELIM_ORDER = ("R1dag", "P3dag", "Q2", "Q3", "P3")
 TYPE1_ELIM_ORDER = ("Q2", "Q3", "P1e", "P2e")
 
+# (rate, replacement) substitutions, applied in order
+Pins = Sequence[tuple[str, dict[str, Fraction]]]
+
 # inserted-layer constants -> base constants (None: conditioning collapses
 # the constant to zero once the layer is pinned to the cloud center)
 APPENDIX_MERGE: dict[str, str | None] = {
@@ -53,11 +56,35 @@ def _drop(system: IneqSystem, tags: Iterable[str]) -> IneqSystem:
     return IneqSystem(tuple(r for r in system.rows if r.tag not in tags))
 
 
-def inner_raw_system() -> IneqSystem:
-    rows = (load_fixture("inner_bin_pairing.txt").rows
-            + load_fixture("inner_decoding.txt").rows
-            + load_fixture("inner_partition_floor.txt").rows)
-    return IneqSystem(rows)
+def _raw_system(scheme: str) -> IneqSystem:
+    """The raw coding system of a scheme: its bin-pairing, decoding and
+    partition-floor fixtures, in that order."""
+    return IneqSystem(tuple(
+        row for part in ("bin_pairing", "decoding", "partition_floor")
+        for row in load_fixture(f"{scheme}_{part}.txt").rows))
+
+
+def _pin(system: IneqSystem, pins: Pins) -> IneqSystem:
+    for var, expr in pins:
+        system = system.substitute(var, expr)
+    return system
+
+
+def _derive(scheme: str, order: Sequence[str], drop_tags: Iterable[str], *,
+            rates: tuple[str, ...], raw_pins: Pins, target_pins: Pins
+            ) -> tuple[IneqSystem, EquivalenceReport]:
+    """Pin the raw system, project `order` out of it, and certify the
+    result against the scheme's pinned target list.  The retained `rates`
+    live in the nonnegative orthant by definition."""
+    derived = _pin(_drop(_raw_system(scheme), drop_tags), raw_pins)
+    for var in order:
+        derived = remove_redundant(derived.eliminate(var), nonneg_vars=rates)
+    derived = derived.sorted()
+    target = _pin(load_fixture(f"{scheme}_bound_target.txt"), target_pins)
+    report = check_equivalence(derived, target, load_identities(),
+                               a_name="derived", b_name="target",
+                               nonneg_vars=rates)
+    return derived, report
 
 
 def derive_inner_bound(order: Sequence[str] = INNER_ELIM_ORDER,
@@ -67,33 +94,14 @@ def derive_inner_bound(order: Sequence[str] = INNER_ELIM_ORDER,
 
     Returns (derived system over {R0, R1e, R2e}, equivalence report).
     """
-    raw = _drop(inner_raw_system(), drop_tags)
     # pin the security partition rates, then express the second private
     # message through its split R2e = P1e + P3
-    raw = (raw.substitute("R1p", {U2_LEAK: ONE})
-              .substitute("P1p", {X_LEAK: ONE})
-              .substitute("P1e", {"R2e": ONE, "P3": -ONE}))
-    # the retained rates live in the nonnegative orthant by definition
-    rates = ("R0", "R1e", "R2e")
-    derived = raw
-    for var in order:
-        derived = remove_redundant(derived.eliminate(var), nonneg_vars=rates)
-    derived = derived.sorted()
-
-    target = (load_fixture("inner_bound_target.txt")
-              .substitute("R1", {"R1e": ONE, U2_LEAK: ONE})
-              .substitute("R2", {"R2e": ONE, X_LEAK: ONE}))
-    report = check_equivalence(derived, target, load_identities(),
-                               a_name="derived", b_name="target",
-                               nonneg_vars=rates)
-    return derived, report
-
-
-def type1_raw_system() -> IneqSystem:
-    rows = (load_fixture("type1_bin_pairing.txt").rows
-            + load_fixture("type1_decoding.txt").rows
-            + load_fixture("type1_partition_floor.txt").rows)
-    return IneqSystem(rows)
+    return _derive(
+        "inner", order, drop_tags, rates=("R0", "R1e", "R2e"),
+        raw_pins=(("R1p", {U2_LEAK: ONE}), ("P1p", {X_LEAK: ONE}),
+                  ("P1e", {"R2e": ONE, "P3": -ONE})),
+        target_pins=(("R1", {"R1e": ONE, U2_LEAK: ONE}),
+                     ("R2", {"R2e": ONE, X_LEAK: ONE})))
 
 
 def derive_type1_bound(order: Sequence[str] = TYPE1_ELIM_ORDER,
@@ -103,29 +111,18 @@ def derive_type1_bound(order: Sequence[str] = TYPE1_ELIM_ORDER,
 
     Returns (derived system over {R0, R1e}, equivalence report).
     """
-    raw = _drop(type1_raw_system(), drop_tags)
     # here the single private message splits as R1e = P1e + P2e + P3 and its
     # randomization layer carries both leak rates
-    raw = (raw.substitute("P2p", {U2_LEAK: ONE})
-              .substitute("P1p", {X_LEAK: ONE})
-              .substitute("P3", {"R1e": ONE, "P1e": -ONE, "P2e": -ONE}))
-    rates = ("R0", "R1e")
-    derived = raw
-    for var in order:
-        derived = remove_redundant(derived.eliminate(var), nonneg_vars=rates)
-    derived = derived.sorted()
-
-    target = (load_fixture("type1_bound_target.txt")
-              .substitute("R1", {"R1e": ONE, U2_LEAK: ONE, X_LEAK: ONE}))
-    report = check_equivalence(derived, target, load_identities(),
-                               a_name="derived", b_name="target",
-                               nonneg_vars=rates)
-    return derived, report
+    return _derive(
+        "type1", order, drop_tags, rates=("R0", "R1e"),
+        raw_pins=(("P2p", {U2_LEAK: ONE}), ("P1p", {X_LEAK: ONE}),
+                  ("P3", {"R1e": ONE, "P1e": -ONE, "P2e": -ONE})),
+        target_pins=(("R1", {"R1e": ONE, U2_LEAK: ONE, X_LEAK: ONE}),))
 
 
 def base_system_for_appendix() -> IneqSystem:
     """Raw three-message system with the in-bin search depths projected out."""
-    base = inner_raw_system().eliminate("R1dag").eliminate("P3dag")
+    base = _raw_system("inner").eliminate("R1dag").eliminate("P3dag")
     return remove_redundant(base).sorted()
 
 

@@ -189,24 +189,6 @@ class EquivalenceReport:
     def equivalent(self) -> bool:
         return self.forward.holds and self.backward.holds
 
-    def summary(self) -> str:
-        lines = [
-            f"{self.a_name} => {self.b_name}: "
-            f"{'holds' if self.forward.holds else 'FAILS'} "
-            f"({len(self.forward.certified)} certified, "
-            f"{len(self.forward.redundancy_mismatches)} redundancy mismatches, "
-            f"{len(self.forward.errors)} errors)",
-            f"{self.b_name} => {self.a_name}: "
-            f"{'holds' if self.backward.holds else 'FAILS'} "
-            f"({len(self.backward.certified)} certified, "
-            f"{len(self.backward.redundancy_mismatches)} redundancy mismatches, "
-            f"{len(self.backward.errors)} errors)",
-        ]
-        for rep in (self.forward, self.backward):
-            for tag in rep.errors:
-                lines.append(f"  unmatched: {tag}")
-        return "\n".join(lines)
-
     def to_dict(self) -> dict:
         def d(rep: DirectionReport) -> dict:
             return {

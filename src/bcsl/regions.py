@@ -26,7 +26,8 @@ from scipy.optimize import linprog
 from .channel_core import (HARD_TOL, JOINT_AXES, LP_FEAS_TOL, NORM_TOL,
                            Channel3, JointPmf, _check_probs, conditional_mi,
                            induced_joint)
-from .errors import PreconditionError, UsageError, ValidationError
+from .errors import (CapabilityError, PreconditionError, UsageError,
+                     ValidationError)
 from .fme import is_constant_symbol, load_fixture
 from .orderings import OrderingReport
 
@@ -647,6 +648,9 @@ def eval_cor3_match(ch: Channel3, p_ux: np.ndarray, *,
 
 # scale of the Gaussian noise one hill-climbing step adds to a block
 PERTURB_STEP = 0.25
+# cells of the induced joint p(u1,u2,u3,x,y1,y2,y3) the search may score:
+# 128 MiB of float64
+JOINT_CELL_CAP = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -715,12 +719,15 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
 
     Searched auxiliaries are FactorBlocks, Markov by construction, whose
     joint arrays _Scorer scores; only the reported one becomes an AuxJoint
-    and goes through eval_bound's gate and the HiGHS solve of polytope_lp.  A step is taken when the candidate's
-    score beats the current one: a feasible score beats an infeasible one,
-    and otherwise the larger value wins by more than 1e-12.  So a restart
-    whose start is infeasible climbs its least rhs until the polytope is
-    nonempty, then climbs the LP value; only restarts that end feasible
-    compete for the result.
+    and goes through eval_bound's gate and the HiGHS solve of polytope_lp.
+    A step is taken when the candidate's score beats the current one: a
+    feasible score beats an infeasible one, and otherwise the larger value
+    wins by more than 1e-12.  So a restart whose start is infeasible climbs
+    its least rhs until the polytope is nonempty, then climbs the LP value;
+    only restarts that end feasible compete for the result.
+
+    Sizes whose induced joint would exceed JOINT_CELL_CAP cells are refused
+    before the search.
 
     The result is a lower bound on the true optimum for inner bounds and a
     heuristic certificate point for outer bounds.
@@ -732,6 +739,11 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
         raise UsageError(
             "weights must be 5 finite nonnegative reals, not all zero")
     m1, m2, m3 = cfg.sizes(ch.nx)
+    cells = m1 * m2 * m3 * ch.p.size
+    if cells > JOINT_CELL_CAP:
+        raise CapabilityError(
+            f"auxiliary sizes ({m1}, {m2}, {m3}) induce a joint of {cells} "
+            f"cells > cap {JOINT_CELL_CAP}; shrink the auxiliary sizes")
     _preconditions(bound, ch, ordering_reports, override)
     evaluate = _Scorer(bound, ch, w)
 

@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, diagnostics, manifests, determinism."""
 
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +146,26 @@ class TestExitCodes:
         assert rc == 2
         captured = capsys.readouterr()
         assert flag[2:] in captured.err and captured.out == ""
+
+    def test_frontier_refuses_oversized_auxiliary(self, ch_file):
+        # 3 * 10^5 * 10^5 * 16 cells of the induced joint, far above the
+        # cap; the address-space limit keeps a regression from taking the
+        # host's memory, and the refusal comes before any search
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcsl.cli", "regions", "frontier",
+             "--channel", ch_file, "--bound", "inner3dm",
+             "--weights", "1,1,1,1,1", "--restarts", "1", "--iters", "1",
+             "--m2", "100000", "--m3", "100000", "--seed", "0"],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1 and "cap" in proc.stderr
+        assert time.monotonic() - t0 < 60
 
     @pytest.mark.parametrize("weight,rc,message", [
         ("nan", 2, "usage error: weights must be 5 finite"),

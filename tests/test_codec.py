@@ -6,14 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from bcsl.codec_sim import (CodeConfig, batch_typical, build_codebook, encode,
-                            message_size, simulate, typical, wilson_interval)
+from bcsl.codec_sim import (CodeConfig, Codebook, batch_typical,
+                            build_codebook, decode_all, encode, message_size,
+                            simulate, typical, wilson_interval)
 from bcsl.errors import (CapabilityError, ConfigError, EncodingError,
                          GenerationError, UsageError, ValidationError)
 from bcsl.regions import AuxJoint
 
-from conftest import (bsc, noiseless_identical_channel, product_channel,
-                      uniform_binary_input_aux)
+from conftest import (bsc, check_benchmark_key, noiseless_identical_channel,
+                      product_channel, uniform_binary_input_aux)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,13 @@ class TestCodeConfig:
             CodeConfig(n=4, eps=0.0)
         with pytest.raises(ValidationError):
             CodeConfig(n=4, r1e=-0.1)
+
+    @pytest.mark.parametrize("value", [-0.1, float("nan")])
+    @pytest.mark.parametrize("name", ["r0", "r1e", "r1p", "r1dag", "q2", "q3",
+                                      "p3", "p3dag", "p1e", "p1p"])
+    def test_every_rate_field_validated(self, name, value):
+        with pytest.raises(ValidationError, match=f"rate {name} "):
+            CodeConfig(n=4, **{name: value})
 
     def test_pairing_condition_named(self, aux):
         cfg = CodeConfig(n=4, r1e=0.5, r1p=0.5, q2=0.5)
@@ -301,3 +309,31 @@ def test_simulate_golden():
     del rep["wall_seconds"]
     text = json.dumps(rep, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _SIM_GOLDEN
+
+
+def test_codebook_from_its_arrays_decodes_alike():
+    # the decoder targets derive from (aux, channel), so a codebook
+    # assembled from another's arrays decodes every block as it does
+    cb = build_codebook(*_golden_case("mc", 3))
+    twin = Codebook(cb.cfg, cb.aux, cb.ch, cb.u1, cb.u2, cb.u3, cb.pair, cb.x)
+    rng = np.random.default_rng(11)
+    law = cb.ch.p.reshape(cb.ch.nx, -1)
+    ny2, ny3 = cb.ch.ny2, cb.ch.ny3
+    live = np.argwhere(cb.live)
+    decoded = []
+    for idx in live[rng.choice(len(live), 24)]:
+        ys = np.array([rng.choice(law.shape[1], p=law[x])
+                       for x in cb.x[tuple(idx)]])
+        blocks = (ys // (ny2 * ny3), ys // ny3 % ny2, ys % ny3)
+        decoded.append(decode_all(cb, *blocks))
+        assert decode_all(twin, *blocks) == decoded[-1]
+    for rx in ("rx1", "rx2", "rx3"):
+        assert any(getattr(d, rx) is not None for d in decoded), rx
+
+
+@pytest.mark.parametrize("key", range(16))
+def test_codec_agrees_with_benchmark_refs(key, tmp_path, capsys):
+    # the three codec commands of every key of the codec benchmark agree
+    # with the seed-commit reference by the benchmark's own rule
+    check_benchmark_key("codec", key, tmp_path)
+    capsys.readouterr()

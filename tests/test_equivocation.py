@@ -105,6 +105,18 @@ class TestGuards:
             exact_equivocation(cb)
 
 
+def test_equivocation_builds_no_decoder_joint(aux, monkeypatch):
+    # the seven-axis joint p(u1,u2,u3,x,y1,y2,y3) only feeds the decoders
+    def refuse(*args):
+        raise AssertionError("induced_joint called")
+
+    monkeypatch.setattr(codec_sim, "induced_joint", refuse)
+    ch = product_channel(bsc(0.1), bsc(0.2), bsc(0.3))
+    cfg = CodeConfig(n=6, r1e=0.15, r1p=0.15, q2=0.3, eps=0.5, seed=0)
+    rep = exact_equivocation(build_codebook(cfg, aux, ch))
+    assert 0 < rep.h_w1_given_y3 <= rep.h_w1
+
+
 class TestMemory:
     def test_wide_table_streams_in_blocks(self, aux):
         # the shape of the codec benchmark's widest enumeration: a 24 MiB

@@ -247,12 +247,12 @@ def test_certify_matches_multiplier_lp(case):
 class TestDerivations:
     def test_inner_system_two_way(self):
         derived, report = derive_inner_bound()
-        assert report.equivalent, report.summary()
+        assert report.equivalent, report.to_dict()
         assert not report.forward.errors and not report.backward.errors
 
     def test_type1_system_two_way(self):
         derived, report = derive_type1_bound()
-        assert report.equivalent, report.summary()
+        assert report.equivalent, report.to_dict()
         assert not report.forward.errors and not report.backward.errors
 
     def test_elimination_order_independence(self):
@@ -273,7 +273,7 @@ class TestDerivations:
 
     def test_appendix_pinned_equivalent(self):
         report = appendix_reduction()
-        assert report.equivalent, report.summary()
+        assert report.equivalent, report.to_dict()
 
     def test_appendix_symbolic_one_way(self):
         report = appendix_reduction(outer_layer_symbolic=True)
