@@ -292,8 +292,10 @@ def cmd_sim_run(args) -> int:
     em = _Emitter(args, "sim run", [args.channel, args.aux, args.config])
     rep = simulate(cfg, aux, ch, args.trials, args.seed)
     payload = rep.to_dict()
-    # wall-clock is volatile; keep it out of the primary output
+    # wall-clock is volatile, and the trial blocks are how the run went,
+    # not what it found; keep both out of the primary output
     em.manifest.extras["wall_seconds"] = payload.pop("wall_seconds")
+    em.manifest.extras["simulation"] = rep.run_stats()
     em.emit_json(payload)
     return 0
 

@@ -33,7 +33,8 @@ RATE_TOL = 1e-9
 DEFAULT_RETRY_CAP = 2000
 DEFAULT_ENUM_CAP = 2 ** 20
 DEFAULT_CODEWORD_CAP = 10 ** 7
-# cells of the wiretapper's table per block of exact_equivocation: 1 MiB
+# cells per block of exact_equivocation's wiretapper table and of the
+# largest per-trial array of a block of simulate trials: 1 MiB of float64
 ENUM_BLOCK_CELLS = 2 ** 17
 # sum tolerance of a sampling row, the one Generator.choice applies to p
 _PMF_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -175,15 +176,15 @@ def _cdf_rows(rows: np.ndarray) -> np.ndarray:
     return cdf / cdf[:, -1:]
 
 
-def _draw_rows(rng: np.random.Generator, cdf: np.ndarray,
-               base: np.ndarray) -> np.ndarray:
-    """s_i ~ row base_i of the pmfs behind `cdf`, by inverse CDF.
+def _draw_rows(u: np.ndarray, cdf: np.ndarray, base: np.ndarray
+               ) -> np.ndarray:
+    """s ~ row `base` of the pmfs behind `cdf`, elementwise, by inverse CDF.
 
-    One uniform per symbol and the count of CDF entries at or below it (a
-    right-sided search): ``rng.choice(k, p=row)`` symbol by symbol, draw
-    for draw."""
-    u = rng.random(len(base))
-    return (u[:, None] >= cdf[base]).sum(axis=1)
+    One uniform of `u` (shaped as `base`) per symbol and the count of CDF
+    entries at or below it (a right-sided search): with ``u =
+    rng.random(len(base))``, ``rng.choice(k, p=row)`` symbol by symbol,
+    draw for draw."""
+    return (u[..., None] >= cdf[base]).sum(axis=-1)
 
 
 def _draw_cond_typical(rng: np.random.Generator, cond_base: np.ndarray,
@@ -195,7 +196,7 @@ def _draw_cond_typical(rng: np.random.Generator, cond_base: np.ndarray,
     `cond_cdf` is `_cdf_rows(cond)`."""
     k_new = cond_cdf.shape[1]
     for _ in range(cap):
-        s = _draw_rows(rng, cond_cdf, cond_base)
+        s = _draw_rows(rng.random(len(cond_base)), cond_cdf, cond_base)
         idx = typ_base * k_new + s
         if typical(np.bincount(idx, minlength=joint_flat.size), n,
                    joint_flat, eps):
@@ -418,69 +419,77 @@ def encode(cb: Codebook, w0: int, w1: int, w2: int, *, nonce: int = 0
 # decoding
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Per-receiver estimates; None marks a declared error at that stage."""
-
-    rx1: tuple[int, int, int] | None   # (w0, w1, w2)
-    rx2: tuple[int, int | None] | None  # (w0, w1); w1 None = stage-2 error
-    rx3: int | None                     # w0
-
-
-def _sole(labels: np.ndarray):
-    """The label every hit carries, or None when there is no hit or the
-    hits disagree."""
-    if len(labels) and (labels == labels[0]).all():
-        return labels[0].tolist()
-    return None
+def _sole(ok: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per row of a hit mask ok (T, C) over C candidates with nonnegative
+    labels (C,): the label every hit carries, or -1 when the row has no hit
+    or its hits disagree."""
+    lab = np.broadcast_to(labels, ok.shape)
+    lo = np.min(lab, axis=1, initial=np.iinfo(lab.dtype).max, where=ok)
+    hi = np.max(lab, axis=1, initial=-1, where=ok)
+    return np.where(lo == hi, lo, -1)
 
 
-def _lead(ok: np.ndarray, size: int) -> np.ndarray:
-    """Leading index of each hit of a C-ordered mask over (size, ...)."""
-    return np.nonzero(ok.reshape(size, -1))[0]
+def _lead(count: int, size: int) -> np.ndarray:
+    """Leading index of each entry of a C-ordered axis of `count` entries
+    over (size, ...)."""
+    return np.arange(count) // (count // size)
 
 
 def decode_all(cb: Codebook, y1: np.ndarray, y2: np.ndarray, y3: np.ndarray
-               ) -> DecodeResult:
-    """Run all three decoding rules on one received block.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run all three decoding rules on a stack of received blocks.
 
-    Receiver 1 scans all codeword tuples for joint typicality; receivers 2
-    and 3 recover the cloud index indirectly through their satellite bank,
-    and receiver 2 then decodes its message within the identified cloud.
-    Ambiguity or absence at any stage is a declared error (None).
+    y1, y2, y3 are integer (T, n) arrays; row t holds what each receiver
+    hears in trial t.  Receiver 1 scans all codeword tuples for joint
+    typicality; receivers 2 and 3 recover the cloud index indirectly
+    through their satellite bank, and receiver 2 then decodes its message
+    within the cloud it identified.  Returns receiver 1's (w0, w1, w2)
+    (T, 3), receiver 2's (w0, w1) (T, 2) and receiver 3's w0 (T,).  Where
+    a stage finds no typical candidate, or typical candidates whose labels
+    differ, it declares an error, -1, as do the stages after it.
     """
-    cfg, s = cb.cfg, cb.sizes
+    cfg, s, ch = cb.cfg, cb.sizes, cb.ch
     n, eps = cfg.n, cfg.eps
-    ny1, ny2, ny3 = cb.ch.ny1, cb.ch.ny2, cb.ch.ny3
-    y1 = np.asarray(y1)
-    y2 = np.asarray(y2)
-    y3 = np.asarray(y3)
-    for y, ny in ((y1, ny1), (y2, ny2), (y3, ny3)):
-        if y.shape != (n,) or y.min() < 0 or y.max() >= ny:
-            raise UsageError("received sequence has wrong length or symbols")
-
+    ys = tuple(np.asarray(y) for y in (y1, y2, y3))
+    for y, ny in zip(ys, (ch.ny1, ch.ny2, ch.ny3)):
+        if y.dtype.kind not in "iu":
+            raise UsageError("received blocks must be integer arrays")
+        if y.ndim != 2 or y.shape != ys[0].shape or y.shape[1] != n:
+            raise UsageError(
+                f"received blocks must be three equal (T, {n}) arrays")
+        if np.any(y < 0) or np.any(y >= ny):
+            raise UsageError("received symbol out of range")
+    y1, y2, y3 = ys
     p_rx1, p_u2y2, p_u1u2y2, p_u3y3 = cb.decoder_targets
-    # receiver 1: direct joint-typicality scan
-    rows1, labels1 = cb.rx1_table
-    ok1 = batch_typical(rows1 * ny1 + y1, n, p_rx1, eps)
-    hit1 = _sole(labels1[ok1])
-    rx1 = None if hit1 is None else tuple(hit1)
 
-    # receiver 2: indirect cloud decoding through the u2 bank
-    ok2 = batch_typical(cb.u2.reshape(-1, n) * ny2 + y2, n, p_u2y2, eps)
-    w0 = _sole(_lead(ok2, s["r0"]))
-    if w0 is None:
-        rx2 = None
-    else:
-        rows = (cb.u1[w0][None, :] * cb.aux.m2 + cb.u2[w0]) * ny2 + y2
-        okb = batch_typical(rows, n, p_u1u2y2, eps)
-        rx2 = (w0, _sole(_lead(okb, s["r1e"])))
+    def hits(rows, y, ny, pmf):
+        """Typicality of candidate rows (C, n), or (T, C, n) per trial,
+        with each trial's block: a (T, C) mask."""
+        idx = rows * ny + y[:, None, :]
+        return batch_typical(idx.reshape(-1, n), n, pmf, eps
+                             ).reshape(idx.shape[:2])
+
+    # receiver 1: direct joint-typicality scan; a triple is the sole label
+    # of the hits when each of its three parts is
+    rows1, labels1 = cb.rx1_table
+    ok1 = hits(rows1, y1, ch.ny1, p_rx1)
+    rx1 = np.stack([_sole(ok1, lab) for lab in labels1.T], axis=1)
+    rx1[(rx1 < 0).any(axis=1)] = -1
+
+    # receiver 2: indirect cloud decoding through the u2 bank, then its
+    # message within the decoded cloud
+    u2 = cb.u2.reshape(-1, n)
+    w0 = _sole(hits(u2, y2, ch.ny2, p_u2y2), _lead(len(u2), s["r0"]))
+    rx2 = np.stack([w0, np.full_like(w0, -1)], axis=1)
+    got = w0 >= 0
+    rows = cb.u1[w0[got], None, :] * cb.aux.m2 + cb.u2[w0[got]]
+    rx2[got, 1] = _sole(hits(rows, y2[got], ch.ny2, p_u1u2y2),
+                        _lead(s["q2_bank"], s["r1e"]))
 
     # receiver 3: indirect cloud decoding through the u3 bank
-    ok3 = batch_typical(cb.u3.reshape(-1, n) * ny3 + y3, n, p_u3y3, eps)
-    rx3 = _sole(_lead(ok3, s["r0"]))
-
-    return DecodeResult(rx1, rx2, rx3)
+    u3 = cb.u3.reshape(-1, n)
+    rx3 = _sole(hits(u3, y3, ch.ny3, p_u3y3), _lead(len(u3), s["r0"]))
+    return rx1, rx2, rx3
 
 
 # --------------------------------------------------------------------------
@@ -506,6 +515,7 @@ class SimReport:
     encode_failures: int
     pairing_failure_fraction: float
     wall_seconds: float
+    block_trials: int               # trials per block of `simulate`
 
     def rate(self, which: int) -> float:
         k = self.errors[which - 1]
@@ -525,30 +535,27 @@ class SimReport:
             out[f"pe_y{i}_ci95"] = [lo, hi]
         return out
 
+    def run_stats(self) -> dict[str, int]:
+        """How the trials ran: the trials, the trials per block, the
+        blocks and the encode failures."""
+        return {"trials": self.trials, "trials_per_block": self.block_trials,
+                "blocks": -(-self.trials // self.block_trials),
+                "encode_failures": self.encode_failures}
 
-def _run_trial(cb: Codebook, ch_cdf: np.ndarray, trial: int, seed: int
-               ) -> tuple[bool, bool, bool, bool]:
-    """One trial: draw messages, encode, push through the channel, decode.
-    Returns (rx1_err, rx2_err, rx3_err, encode_failed)."""
-    s = cb.sizes
-    rng = np.random.default_rng([seed, _STREAM_TRIAL, trial])
-    w0 = int(rng.integers(0, s["r0"]))
-    w1 = int(rng.integers(0, s["r1e"]))
-    w2 = int(rng.integers(0, s["w2"]))
-    try:
-        xs = encode(cb, w0, w1, w2, nonce=trial)
-    except EncodingError:
-        return True, True, True, True
-    ny2, ny3 = cb.ch.ny2, cb.ch.ny3
-    draws = _draw_rows(rng, ch_cdf, xs)
-    y1 = draws // (ny2 * ny3)
-    y2 = (draws // ny3) % ny2
-    y3 = draws % ny3
-    dec = decode_all(cb, y1, y2, y3)
-    e1 = dec.rx1 != (w0, w1, w2)
-    e2 = dec.rx2 != (w0, w1)
-    e3 = dec.rx3 != w0
-    return e1, e2, e3, False
+
+def _trial_block(cb: Codebook) -> int:
+    """Trials per block of `simulate`: as many as ENUM_BLOCK_CELLS cells
+    hold of its largest per-trial array, at least one.  That is the
+    channel draw's n x |Y1 Y2 Y3| comparisons, or a decoding stage's
+    candidates x max(n, joint cells) symbol indices and counts."""
+    n, ch, s = cb.cfg.n, cb.ch, cb.sizes
+    # candidates of the stages in the order of `decoder_targets`
+    stages = zip((len(cb.rx1_table[0]), s["r0"] * s["q2_bank"],
+                  s["q2_bank"], s["r0"] * s["q3_bank"]),
+                 cb.decoder_targets)
+    cells = max([n * ch.ny1 * ch.ny2 * ch.ny3]
+                + [c * max(n, pmf.size) for c, pmf in stages])
+    return max(1, ENUM_BLOCK_CELLS // cells)
 
 
 def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
@@ -556,18 +563,50 @@ def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
     """Monte Carlo block-error estimation.
 
     Per-trial randomness is counter-based on (seed, trial), so the report
-    does not depend on the trial order.  Trials run in one thread, since
-    they are bound by the interpreter lock.
+    does not depend on the trial order.  Trials run in blocks of
+    `_trial_block` trials, so memory does not grow with `trials`.  Within a
+    block each trial first draws its messages, its encoding and its
+    channel uniforms from its own streams, one trial at a time; then the
+    channel draws and the decoding of the whole block are array
+    operations.  The report is the same for every block size.
     """
     if trials < 1:
         raise UsageError(f"trials must be at least 1, got {trials}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     cb = build_codebook(cfg, aux, ch)
-    ch_cdf = _cdf_rows(cb.ch.p.reshape(cb.ch.nx, -1))
-    results = [_run_trial(cb, ch_cdf, t, seed) for t in range(trials)]
-    *errors, failures = map(sum, zip(*results))
-    return SimReport(trials, tuple(errors), failures,
-                     cb.pairing_failure_fraction, time.time() - t0)
+    s, n = cb.sizes, cfg.n
+    ny2, ny3 = ch.ny2, ch.ny3
+    ch_cdf = _cdf_rows(ch.p.reshape(ch.nx, -1))
+    block = _trial_block(cb)
+    errors = np.zeros(3, dtype=np.int64)
+    failures = 0
+    for first in range(0, trials, block):
+        ts = range(first, min(trials, first + block))
+        msgs = np.zeros((len(ts), 3), dtype=np.int64)
+        xs = np.zeros((len(ts), n), dtype=np.int64)
+        u = np.zeros((len(ts), n))
+        sent = np.ones(len(ts), dtype=bool)
+        for i, t in enumerate(ts):
+            rng = np.random.default_rng([seed, _STREAM_TRIAL, t])
+            msgs[i] = w = [int(rng.integers(0, s[k]))
+                           for k in ("r0", "r1e", "w2")]
+            try:
+                xs[i] = encode(cb, *w, nonce=t)
+            except EncodingError:
+                sent[i] = False
+                continue
+            u[i] = rng.random(n)
+        draws = _draw_rows(u[sent], ch_cdf, xs[sent])
+        rx1, rx2, rx3 = decode_all(cb, draws // (ny2 * ny3),
+                                   draws // ny3 % ny2, draws % ny3)
+        msgs = msgs[sent]
+        errors += ((rx1 != msgs).any(axis=1).sum(),
+                   (rx2 != msgs[:, :2]).any(axis=1).sum(),
+                   (rx3 != msgs[:, 0]).sum())
+        failures += int((~sent).sum())
+    return SimReport(trials, tuple(int(e) + failures for e in errors),
+                     failures, cb.pairing_failure_fraction,
+                     time.perf_counter() - t0, block)
 
 
 # --------------------------------------------------------------------------

@@ -81,15 +81,21 @@ def rng():
     return np.random.default_rng(20240824)
 
 
+def perfbench_workloads():
+    """The benchmark's `workloads` module: its plans and input builders."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def check_benchmark_key(workload: str, key: int,
                         tmp_path: pathlib.Path) -> None:
     """Run one key of a perfbench workload through the CLI and assert that
     its inputs equal the stored reference and every observed output agrees
     with it by the benchmark's own rule, `workloads.agrees`."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     ref = json.loads((PERFBENCH / "refs" / f"{workload}.json").read_text())
     ref = ref["keys"][str(key)]
     plan = workloads.plan(workload, key)

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, diagnostics, manifests, determinism."""
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -402,7 +403,18 @@ class TestDeterminism:
                 capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
+            # how the trials ran goes to the manifest only: n = 6 over the
+            # 8 outputs (y1, y2, y3) gives 48 channel comparisons a trial
+            manifest = json.loads(
+                (tmp_path / (name + ".manifest.json")).read_text())
+            assert manifest["extras"]["simulation"] == {
+                "trials": 100, "trials_per_block": 2 ** 17 // 48,
+                "blocks": 1, "encode_failures": 0}
         assert outs[0] == outs[1]
+        # the report of the trial-at-a-time simulator that trial blocks
+        # replaced
+        assert hashlib.sha256(outs[0]).hexdigest() == (
+            "7b9d4548650b81b368e0fa6d562b4ad0e30e7391d3a8bfe918eb986b1adb73a6")
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Codebook construction, encoding, decoding, and Monte Carlo simulation."""
 
 import hashlib
+import itertools
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bcsl import codec_sim
 from bcsl.codec_sim import (CodeConfig, Codebook, batch_typical,
                             build_codebook, decode_all, encode, message_size,
                             simulate, typical, wilson_interval)
@@ -14,7 +18,8 @@ from bcsl.errors import (CapabilityError, ConfigError, EncodingError,
 from bcsl.regions import AuxJoint
 
 from conftest import (bsc, check_benchmark_key, noiseless_identical_channel,
-                      product_channel, uniform_binary_input_aux)
+                      perfbench_workloads, product_channel,
+                      uniform_binary_input_aux)
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +118,10 @@ class TestBuildCodebook:
 
 
 def layered_aux() -> AuxJoint:
-    """U1 uniform binary; U2 and U3 each carry U1 plus one fresh uniform bit
-    (symbol j belongs to U1 = j mod 2), and X = b2 xor b3 flipped with
-    probability 0.1."""
-    p = np.zeros((2, 4, 4, 2))
-    for u1, b2, b3, x in np.ndindex(2, 2, 2, 2):
-        p[u1, u1 + 2 * b2, u1 + 2 * b3, x] = (0.9 if x == b2 ^ b3 else 0.1) / 8
-    return AuxJoint(2, 4, 4, 2, p)
+    """The codec benchmark's layered auxiliary: U1 uniform binary; U2 and U3
+    each carry U1 plus one fresh uniform bit, and X = b2 xor b3 flipped
+    with probability 0.1."""
+    return AuxJoint.from_dict(perfbench_workloads().layered_aux(0.1))
 
 
 class TestProductBinOrder:
@@ -212,6 +214,118 @@ class TestEncode:
                 encode(cb, 0, 0, 0, nonce=0)
         finally:
             cb.pair[...] = pair
+
+
+def _decode_one(cb, y1, y2, y3):
+    """The decoding rules on one received block, one typicality scan per
+    stage, as the simulator applied them trial by trial: receiver 1's
+    (w0, w1, w2), receiver 2's (w0, w1) and receiver 3's w0, None for a
+    declared error, and receiver 2's w1 None at a second-stage error."""
+    def sole(labels):
+        if len(labels) and (labels == labels[0]).all():
+            return labels[0].tolist()
+        return None
+
+    def lead(ok, size):
+        return np.nonzero(ok.reshape(size, -1))[0]
+
+    s, n, eps = cb.sizes, cb.cfg.n, cb.cfg.eps
+    ny1, ny2, ny3 = cb.ch.ny1, cb.ch.ny2, cb.ch.ny3
+    p_rx1, p_u2y2, p_u1u2y2, p_u3y3 = cb.decoder_targets
+    rows1, labels1 = cb.rx1_table
+    hit1 = sole(labels1[batch_typical(rows1 * ny1 + y1, n, p_rx1, eps)])
+    rx1 = None if hit1 is None else tuple(hit1)
+    ok2 = batch_typical(cb.u2.reshape(-1, n) * ny2 + y2, n, p_u2y2, eps)
+    w0 = sole(lead(ok2, s["r0"]))
+    rx2 = None
+    if w0 is not None:
+        rows = (cb.u1[w0][None, :] * cb.aux.m2 + cb.u2[w0]) * ny2 + y2
+        okb = batch_typical(rows, n, p_u1u2y2, eps)
+        rx2 = (w0, sole(lead(okb, s["r1e"])))
+    ok3 = batch_typical(cb.u3.reshape(-1, n) * ny3 + y3, n, p_u3y3, eps)
+    return rx1, rx2, sole(lead(ok3, s["r0"]))
+
+
+def _every_block(cb):
+    """Every y_k^n of each receiver k, one per row: (T, n) blocks for
+    receivers 1, 2, 3, the shorter lists repeated to the longest."""
+    n, ch = cb.cfg.n, cb.ch
+    seqs = [np.array(list(itertools.product(range(ny), repeat=n)))
+            for ny in (ch.ny1, ch.ny2, ch.ny3)]
+    t = max(map(len, seqs))
+    return [np.resize(q, (t, n)) for q in seqs]
+
+
+def _layered_small(seed: int = 0) -> Codebook:
+    """A codebook with every layer: n = 6 on a BSC(0.1)^3 product, every
+    message and bin rate 1/6 (two indices each), the bank rates their
+    sums."""
+    r = 1 / 6
+    cfg = CodeConfig(n=6, r0=r, r1e=r, r1p=r, r1dag=r, q2=3 * r, q3=2 * r,
+                     p3=r, p3dag=r, p1e=r, p1p=r, eps=1.0, seed=seed)
+    m = bsc(0.1)
+    return build_codebook(cfg, layered_aux(), product_channel(m, m, m))
+
+
+class TestDecodeAll:
+    """The block decoder against the one-block rules, on every output
+    sequence of every receiver."""
+
+    @pytest.fixture(scope="class", params=["mc4", "mc6", "layered"])
+    def case(self, request):
+        if request.param == "layered":
+            return _layered_small()
+        cfg, aux, ch = _golden_case("mc", 3)
+        return build_codebook(replace(cfg, n=int(request.param[2:])), aux, ch)
+
+    def test_matches_one_block_rules(self, case):
+        cb = case
+        blocks = _every_block(cb)
+        rx1, rx2, rx3 = decode_all(cb, *blocks)
+        for t, ys in enumerate(zip(*blocks)):
+            want = _decode_one(cb, *ys)
+            got = (None if rx1[t, 0] < 0 else tuple(rx1[t].tolist()),
+                   None if rx2[t, 0] < 0 else
+                   (int(rx2[t, 0]), None if rx2[t, 1] < 0 else int(rx2[t, 1])),
+                   None if rx3[t] < 0 else int(rx3[t]))
+            assert got == want, t
+        # each stage both decodes and declares errors over the blocks;
+        # receiver 1 decodes no block of the layered codebook at n = 6,
+        # and receiver 2's second stage fails under a decoded cloud only
+        # there
+        layered = cb.aux.m1 > 1
+        outcomes = {"rx1": set(rx1[:, 0] >= 0),
+                    "rx2 cloud": set(rx2[:, 0] >= 0),
+                    "rx2 message": set(rx2[rx2[:, 0] >= 0, 1] >= 0),
+                    "rx3": set(rx3 >= 0)}
+        for stage, seen in outcomes.items():
+            if layered and stage == "rx1":
+                assert seen == {False}
+            elif not layered and stage == "rx2 message":
+                assert seen == {True}
+            else:
+                assert seen == {False, True}, stage
+
+    def test_empty_stack(self, cb):
+        empty = np.zeros((0, cb.cfg.n), dtype=np.int64)
+        rx1, rx2, rx3 = decode_all(cb, empty, empty, empty)
+        assert rx1.shape == (0, 3) and rx2.shape == (0, 2)
+        assert rx3.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [
+        # a float block once reached np.bincount and raised TypeError
+        lambda y: [y.astype(float), y, y],
+        lambda y: [np.array([[0., 1., .5, 1., 0., 1.]]), y, y],
+        lambda y: [y, y[:, :-1], y],
+        lambda y: [y, y, np.vstack([y, y])],
+        lambda y: [y[0], y[0], y[0]],
+        lambda y: [y, y, y + 2],
+        lambda y: [y, y - 1, y],
+    ])
+    def test_rejects_bad_blocks(self, cb, bad):
+        y = np.zeros((1, cb.cfg.n), dtype=np.int64)
+        with pytest.raises(UsageError):
+            decode_all(cb, *bad(y))
 
 
 class TestSimulate:
@@ -311,6 +425,38 @@ def test_simulate_golden():
     assert hashlib.sha256(text.encode()).hexdigest() == _SIM_GOLDEN
 
 
+def _report_text(rep) -> str:
+    d = rep.to_dict()
+    del d["wall_seconds"]
+    return json.dumps(d, sort_keys=True)
+
+
+def test_simulate_report_does_not_depend_on_trial_blocks(monkeypatch):
+    # one trial per block, and blocks of 7 trials: 300 = 42 * 7 + 6
+    case = _golden_case("mc", 3)
+    want = simulate(*case, 300, 3)
+    assert want.block_trials > 1
+    per_trial = codec_sim.ENUM_BLOCK_CELLS // want.block_trials
+    for cells, block in ((1, 1), (7 * per_trial, 7)):
+        monkeypatch.setattr(codec_sim, "ENUM_BLOCK_CELLS", cells)
+        got = simulate(*case, 300, 3)
+        assert got.block_trials == block
+        assert _report_text(got) == _report_text(want)
+
+
+def test_simulate_memory_does_not_grow_with_trials():
+    case = _golden_case("mc", 3)
+    peaks = []
+    for trials in (3000, 30_000):
+        tracemalloc.start()
+        try:
+            simulate(*case, trials, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 2 ** 20, peaks
+
+
 def test_codebook_from_its_arrays_decodes_alike():
     # the decoder targets derive from (aux, channel), so a codebook
     # assembled from another's arrays decodes every block as it does
@@ -320,15 +466,17 @@ def test_codebook_from_its_arrays_decodes_alike():
     law = cb.ch.p.reshape(cb.ch.nx, -1)
     ny2, ny3 = cb.ch.ny2, cb.ch.ny3
     live = np.argwhere(cb.live)
-    decoded = []
-    for idx in live[rng.choice(len(live), 24)]:
-        ys = np.array([rng.choice(law.shape[1], p=law[x])
-                       for x in cb.x[tuple(idx)]])
-        blocks = (ys // (ny2 * ny3), ys // ny3 % ny2, ys % ny3)
-        decoded.append(decode_all(cb, *blocks))
-        assert decode_all(twin, *blocks) == decoded[-1]
-    for rx in ("rx1", "rx2", "rx3"):
-        assert any(getattr(d, rx) is not None for d in decoded), rx
+    ys = np.array([[rng.choice(law.shape[1], p=law[x])
+                    for x in cb.x[tuple(idx)]]
+                   for idx in live[rng.choice(len(live), 24)]])
+    blocks = (ys // (ny2 * ny3), ys // ny3 % ny2, ys % ny3)
+    decoded = decode_all(cb, *blocks)
+    for got, want in zip(decode_all(twin, *blocks), decoded):
+        assert np.array_equal(got, want)
+    # some block decodes at each receiver; receiver 2 counts when its
+    # cloud stage does
+    for rx, labels in zip(("rx1", "rx2", "rx3"), decoded):
+        assert (labels.reshape(len(ys), -1)[:, 0] >= 0).any(), rx
 
 
 @pytest.mark.parametrize("key", range(16))
