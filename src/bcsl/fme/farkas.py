@@ -5,14 +5,17 @@ with nonnegativity of the information constants iff there are rational
 multipliers y >= 0 with  sum y_i a_i = c  and  sum y_i b_i <= d  (Farkas /
 LP duality over the polyhedron; nonnegativity rows for the constants are
 part of the system for this purpose).  Feasibility is decided by an exact
-phase-1 simplex over `fractions.Fraction`, so every certificate reproduces
-its target row identically, not approximately.
+phase-1 simplex with Bland's rule on an integer tableau: each row is kept as
+a primitive integer vector, a positive multiple of the rational row it
+stands for, so every certificate reproduces its target row identically, not
+approximately, and no `Fraction` is formed until the solution is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .system import Ineq, IneqSystem
@@ -20,74 +23,88 @@ from .system import Ineq, IneqSystem
 ZERO = Fraction(0)
 
 
-def _phase1_simplex(eq_matrix: list[list[Fraction]],
-                    eq_rhs: list[Fraction]) -> list[Fraction] | None:
+def _primitive(row: list[int]) -> list[int]:
+    """`row` divided by the gcd of its entries (an all-zero row as is)."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _phase1_simplex(eq_rows: Sequence[Sequence[Fraction | int]]
+                    ) -> list[Fraction] | None:
     """Find x >= 0 with M x = r, exactly; None if infeasible.
 
-    Classic phase-1 with artificial variables and Bland's rule.  The
-    reduced-cost row of the phase-1 objective (minimise the sum of the
-    artificials) and its value are carried as one more tableau row and
-    pivoted with the rest, so no pivot rebuilds them.  Every row operation
-    touches only the nonzero columns of the pivot row.  Arithmetic is exact,
-    so the carried row equals the from-scratch one and Bland's rule makes
-    the same choices.
+    Each row of `eq_rows` is one equation, its coefficients then its rhs r_i.
+    Classic phase-1 with artificial variables and Bland's rule, on integer
+    rows: a tableau row is any positive multiple of its rational row, and
+    the phase-1 reduced-cost row (minimise the sum of the artificials), with
+    the objective value as its last entry, is carried and pivoted the same
+    way.  Scaling a row by a positive number keeps the sign of every entry
+    and every ratio rhs_i / a_ie of the ratio test, so the entering column,
+    the pivot row and each tie-break by basis index are the ones the
+    rational tableau picks, and x_j = rhs_i / a_ij is read off exactly.
+
+    Each equation is scaled once by the lcm of its denominators, and by -1
+    if its rhs is negative.  A pivot on column e with pivot row p replaces
+    every other row with a_ie != 0 by a_pe * row - a_ie * prow (a_pe > 0),
+    divided by the gcd of its entries so the integers stay small.
     """
-    m = len(eq_matrix)
-    n = len(eq_matrix[0]) if m else 0
-    # make rhs nonnegative; columns: n structural + m artificial
+    m = len(eq_rows)
+    n = len(eq_rows[0]) - 1 if m else 0
+    width = n + m  # n structural + m artificial columns; then the rhs
     tab = []
-    rhs = []
-    for i in range(m):
-        sign = -1 if eq_rhs[i] < 0 else 1
-        tab.append([sign * v for v in eq_matrix[i]]
-                   + [Fraction(1) if i == k else ZERO for k in range(m)])
-        rhs.append(sign * eq_rhs[i])
+    scales = []
+    for i, eq in enumerate(eq_rows):
+        d = lcm(*(v.denominator for v in eq))
+        signed = -d if eq[-1] < 0 else d
+        ints = [v.numerator * (signed // v.denominator) for v in eq]
+        art = [0] * m
+        art[i] = d  # the artificial column holds d * 1
+        tab.append(ints[:-1] + art + ints[-1:])
+        scales.append(d)
     basis = [n + i for i in range(m)]
     # every artificial starts basic: reduced cost z_j - c_j is the column sum
-    # for a structural column and 1 - 1 for an artificial one
-    red = [sum((row[j] for row in tab), ZERO) for j in range(n)] + [ZERO] * m
-    obj = sum(rhs, ZERO)
+    # of the rational rows for a structural column and 1 - 1 for an
+    # artificial one; scale that sum by the lcm of the row scales
+    common = lcm(*scales)
+    weights = [common // d for d in scales]
+    red = ([sum(w * row[j] for w, row in zip(weights, tab)) for j in range(n)]
+           + [0] * m + [sum(w * row[-1] for w, row in zip(weights, tab))])
+    red = _primitive(red)
 
     while True:
-        enter = next((j for j in range(n + m) if red[j] > 0), None)
+        enter = next((j for j in range(width) if red[j] > 0), None)
         if enter is None:
-            if obj != 0:
+            if red[-1] != 0:
                 return None
             break
-        # Bland ratio test
+        # Bland ratio test: rhs_i / a_ie < rhs_p / a_pe by cross-multiplying
         pivot = None
-        best: Fraction | None = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = rhs[i] / tab[i][enter]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[pivot]):
-                    best, pivot = ratio, i
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if pivot is None:
+                    pivot = i
+                    continue
+                lhs, rhs = row[-1] * tab[pivot][enter], tab[pivot][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot]):
+                    pivot = i
         if pivot is None:
             return None  # unbounded phase-1 cannot happen, defensive
         prow = tab[pivot]
-        cols = [j for j in range(n + m) if prow[j] != 0]
-        piv = prow[enter]
-        for j in cols:
-            prow[j] /= piv
-        rhs[pivot] /= piv
+        p = prow[enter]
         for i, row in enumerate(tab):
             f = row[enter]
             if i != pivot and f != 0:
-                for j in cols:
-                    row[j] -= f * prow[j]
-                rhs[i] -= f * rhs[pivot]
+                tab[i] = _primitive([p * a - f * b for a, b in zip(row, prow)])
         f = red[enter]
-        for j in cols:
-            red[j] -= f * prow[j]
-        obj -= f * rhs[pivot]
+        red = _primitive([p * a - f * b for a, b in zip(red, prow)])
         basis[pivot] = enter
 
     x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rhs[i]
-        elif rhs[i] != 0:
+    for row, b in zip(tab, basis):
+        if b < n:
+            x[b] = Fraction(row[-1], row[b])
+        elif row[-1] != 0:
             return None  # artificial stuck basic at nonzero level
     return x
 
@@ -134,15 +151,17 @@ def certify(system: IneqSystem, target: Ineq,
     symbols = sorted(set(pool.with_rows([target]).symbols()))
     # equalities: for each symbol, sum_i y_i a_i[s] = c[s];
     # plus slack row: sum_i y_i b_i + slack = d
-    n = len(rows) + 1
-    matrix: list[list[Fraction]] = []
-    rhs_vec: list[Fraction] = []
-    for s in symbols:
-        matrix.append([r.coeff(s) for r in rows] + [ZERO])
-        rhs_vec.append(target.coeff(s))
-    matrix.append([r.rhs for r in rows] + [Fraction(1)])
-    rhs_vec.append(target.rhs)
-    sol = _phase1_simplex(matrix, rhs_vec)
+    index = {s: k for k, s in enumerate(symbols)}
+    n = len(rows)
+    eq_rows: list[list[Fraction | int]] = [[0] * (n + 2) for _ in symbols]
+    for j, r in enumerate(rows):
+        for s, c in r.coeffs:
+            if s in index:  # a nonneg var absent elsewhere has no equation
+                eq_rows[index[s]][j] = c
+    for s, c in target.coeffs:
+        eq_rows[index[s]][-1] = c
+    eq_rows.append([r.rhs for r in rows] + [1, target.rhs])
+    sol = _phase1_simplex(eq_rows)
     if sol is None:
         return None
     mults = tuple((rows[i].tag, sol[i]) for i in range(len(rows)) if sol[i] != 0)

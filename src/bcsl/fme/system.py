@@ -214,6 +214,8 @@ def _parse_terms(tokens: list[str]) -> tuple[dict[str, Fraction], Fraction]:
         else:
             try:
                 value = Fraction(tok)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator {tok!r}") from None
             except ValueError:
                 # symbol token, with optional numeric coefficient before it
                 coef = sign * (pending if pending is not None else Fraction(1))

@@ -445,9 +445,12 @@ def test_simulate_report_does_not_depend_on_trial_blocks(monkeypatch):
 
 
 def test_simulate_memory_does_not_grow_with_trials():
+    # one block of trials against fifteen: a simulator that kept every
+    # block's arrays, about 150 KB a block here, would peak 2 MiB higher
     case = _golden_case("mc", 3)
+    block = simulate(*case, 1, 3).block_trials
     peaks = []
-    for trials in (3000, 30_000):
+    for trials in (block, 15 * block):
         tracemalloc.start()
         try:
             simulate(*case, trials, 3)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from bcsl.cli import dispatch
@@ -19,6 +19,7 @@ from bcsl.fme import (Ineq, IneqSystem, appendix_reduction,
                       base_system_for_appendix, certify, check_equivalence,
                       derive_inner_bound, derive_type1_bound, load_fixture,
                       remove_redundant)
+from bcsl.fme.farkas import _phase1_simplex
 
 
 class TestDsl:
@@ -33,6 +34,10 @@ class TestDsl:
         # certificates prove only non-strict rows
         with pytest.raises(ValidationError, match="strict"):
             IneqSystem.parse(line)
+
+    def test_zero_denominator_names_the_line(self):
+        with pytest.raises(ValidationError, match="line 2: zero denominator"):
+            IneqSystem.parse("a: R0 <= 1\nb: R0 <= 1/0\n")
 
     def test_equality_expands_to_two_rows(self):
         fwd, rev = IneqSystem.parse("a: R0 + R1 = I(U1;Y1) + 1").rows
@@ -242,6 +247,122 @@ def test_certify_matches_multiplier_lp(case):
         bound += w * row.rhs
     assert {s: c for s, c in lhs.items() if c != 0} == target.coeff_dict()
     assert bound <= target.rhs
+
+
+# --------------------------------------------------------------------------
+# the integer tableau against the rational one it replaced
+
+def _fraction_phase1_simplex(eq_matrix, eq_rhs):
+    """Reference: phase-1 simplex with Bland's rule on a `Fraction` tableau
+    whose rows are normalised so every basic column is a unit vector."""
+    zero = Fraction(0)
+    m = len(eq_matrix)
+    n = len(eq_matrix[0]) if m else 0
+    tab, rhs = [], []
+    for i in range(m):
+        sign = -1 if eq_rhs[i] < 0 else 1
+        tab.append([sign * Fraction(v) for v in eq_matrix[i]]
+                   + [Fraction(1) if i == k else zero for k in range(m)])
+        rhs.append(sign * Fraction(eq_rhs[i]))
+    basis = [n + i for i in range(m)]
+    red = [sum((row[j] for row in tab), zero) for j in range(n)] + [zero] * m
+    obj = sum(rhs, zero)
+    while True:
+        enter = next((j for j in range(n + m) if red[j] > 0), None)
+        if enter is None:
+            if obj != 0:
+                return None
+            break
+        pivot, best = None, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = rhs[i] / tab[i][enter]
+                if best is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[pivot]):
+                    best, pivot = ratio, i
+        if pivot is None:
+            return None
+        prow = tab[pivot]
+        cols = [j for j in range(n + m) if prow[j] != 0]
+        piv = prow[enter]
+        for j in cols:
+            prow[j] /= piv
+        rhs[pivot] /= piv
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if i != pivot and f != 0:
+                for j in cols:
+                    row[j] -= f * prow[j]
+                rhs[i] -= f * rhs[pivot]
+        f = red[enter]
+        for j in cols:
+            red[j] -= f * prow[j]
+        obj -= f * rhs[pivot]
+        basis[pivot] = enter
+    x = [zero] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rhs[i]
+        elif rhs[i] != 0:
+            return None
+    return x
+
+
+_SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12))
+_FLOAT = st.floats(-4, 4, allow_nan=False).map(Fraction.from_float)
+_MIXED = st.one_of(st.just(Fraction(0)), _SMALL, _SMALL, _FLOAT)
+_UNIT = st.sampled_from([Fraction(v) for v in (0, 0, 1, 1, -1)])
+
+
+@st.composite
+def _simplex_systems(draw):
+    """M x = r, half the time with entries of denominator 1-12 and some
+    binary64 values (denominators up to 2**52 and beyond), otherwise with
+    entries in {0, 1, -1}, plus duplicate columns and all-zero rows.  Half
+    the time r = M x0 for an x0 >= 0 with zeros, so the system is feasible
+    and degenerate; otherwise r is drawn, negative entries included.  Small
+    integer entries and degenerate rows make ratio-test ties, and on some
+    of them the tie-break decides which vertex is returned."""
+    entry = draw(st.sampled_from([_MIXED, _UNIT]))
+    m = draw(st.integers(1, 5) if entry is _MIXED else st.integers(3, 5))
+    n = draw(st.integers(1, 6) if entry is _MIXED else st.integers(5, 9))
+    cols = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    cols += draw(st.lists(st.sampled_from(cols), max_size=2))
+    cols = draw(st.permutations(cols))
+    matrix = [[c[i] for c in cols] for i in range(m)]
+    if draw(st.booleans()):
+        x0 = [draw(st.sampled_from([0, 0, 1, 2, Fraction(1, 3)]))
+              for _ in cols]
+        rhs = [sum((a * x for a, x in zip(row, x0)), Fraction(0))
+               for row in matrix]
+    else:
+        rhs = [draw(st.one_of(_SMALL, st.just(Fraction(0))))
+               for _ in range(m)]
+    for _ in range(draw(st.integers(0, 1))):
+        at = draw(st.integers(0, len(matrix)))
+        matrix.insert(at, [Fraction(0)] * len(cols))
+        rhs.insert(at, draw(st.sampled_from([Fraction(0), Fraction(-1)])))
+    return matrix, rhs
+
+
+def _system(matrix, rhs):
+    return ([[Fraction(v) for v in row] for row in matrix],
+            [Fraction(v) for v in rhs])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=_simplex_systems())
+# three systems on which breaking a ratio-test tie by the larger basis index
+# ends at another vertex
+@example(case=_system([[0, 1, 1, 0], [0, 0, 0, 1], [-1, 0, 1, 1]], [1, 1, 1]))
+@example(case=_system([[-1, 0, 1, 1], [0, 0, 0, 1], [0, -1, -1, 0]],
+                      [1, 1, -1]))
+@example(case=_system([[-1, -1, "1/2", "2/3"], [0, 0, -1, 0], [1, 0, 0, -1]],
+                      ["1/2", -1, -1]))
+def test_integer_simplex_matches_fraction_reference(case):
+    matrix, rhs = case
+    got = _phase1_simplex([row + [r] for row, r in zip(matrix, rhs)])
+    assert got == _fraction_phase1_simplex(matrix, rhs)
 
 
 class TestDerivations:
