@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import UsageError, ValidationError
-
-if TYPE_CHECKING:
-    from .regions import AuxJoint
 
 # Normalization tolerance on ingest.
 NORM_TOL = 1e-12
@@ -190,6 +187,39 @@ class Channel3:
     def to_dict(self) -> dict:
         return {"nx": self.nx, "ny1": self.ny1, "ny2": self.ny2,
                 "ny3": self.ny3, "p": self.p.tolist()}
+
+
+@dataclass(frozen=True)
+class AuxJoint:
+    """Joint pmf over the auxiliaries (U1, U2, U3) and the input X."""
+
+    m1: int
+    m2: int
+    m3: int
+    nx: int
+    p: np.ndarray  # shape (m1, m2, m3, nx)
+
+    def __post_init__(self):
+        arr = np.asarray(self.p, dtype=float)
+        if arr.shape != (self.m1, self.m2, self.m3, self.nx):
+            raise ValidationError(
+                f"aux tensor shape {arr.shape} != {(self.m1, self.m2, self.m3, self.nx)}")
+        _check_probs(arr, "aux joint")
+        if abs(arr.sum() - 1.0) > NORM_TOL:
+            raise ValidationError(f"aux joint sums to {arr.sum()!r}, not 1")
+        object.__setattr__(self, "p", arr)
+
+    def joint_pmf(self) -> JointPmf:
+        return JointPmf(("U1", "U2", "U3", "X"), self.p)
+
+    def to_dict(self) -> dict:
+        return {"m1": self.m1, "m2": self.m2, "m3": self.m3, "nx": self.nx,
+                "p": self.p.tolist()}
+
+    @staticmethod
+    def from_dict(d: Mapping) -> "AuxJoint":
+        return AuxJoint(int(d["m1"]), int(d["m2"]), int(d["m3"]),
+                        int(d["nx"]), np.asarray(d["p"], float))
 
 
 def induced_joint(ch: Channel3, aux: AuxJoint) -> JointPmf:

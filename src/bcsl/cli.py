@@ -28,13 +28,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .channel_core import Channel3
+from .channel_core import AuxJoint, Channel3
 from .errors import BcslError, UsageError, ValidationError
 from .fme import (appendix_reduction, derive_inner_bound, derive_type1_bound)
 from .orderings import (OrderingReport, implication_check, is_degraded,
                         is_less_noisy, is_more_capable)
-from .regions import (AuxJoint, BoundId, SearchConfig, eval_bound,
-                      max_weighted_rate)
+from .regions import BoundId, SearchConfig, eval_bound, max_weighted_rate
 from .codec_sim import (CodeConfig, build_codebook, check_enum_cap,
                         enumeration_counts, exact_equivocation,
                         secrecy_gap_study, simulate)

@@ -24,10 +24,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel_core import Channel3, _clamp, conditional_mi, induced_joint
+from .channel_core import (AuxJoint, Channel3, _clamp, conditional_mi,
+                           induced_joint)
 from .errors import (CapabilityError, ConfigError, EncodingError,
                      GenerationError, UsageError, ValidationError)
-from .regions import AuxJoint
 
 RATE_TOL = 1e-9
 DEFAULT_RETRY_CAP = 2000
@@ -763,10 +763,10 @@ def exact_equivocation(cb: Codebook, *, enum_cap: int = DEFAULT_ENUM_CAP
         # |W2| = 1 repeats (w1,w2,y) as (w1,y) and (w2,y) as y, value for
         # value in the same order; |W1| = 1 repeats them the other way round
         w1y = block.sum(axis=1)
-        h = _neg_plogp(block)
-        h1 = h if nw2 == 1 else _neg_plogp(w1y)
-        h2 = h if nw1 == 1 else _neg_plogp(block.sum(axis=0))
-        sums += (h, h1, h2, h2 if nw2 == 1 else h1 if nw1 == 1
+        h12 = _neg_plogp(block)
+        h1 = h12 if nw2 == 1 else _neg_plogp(w1y)
+        h2 = h12 if nw1 == 1 else _neg_plogp(block.sum(axis=0))
+        sums += (h12, h1, h2, h2 if nw2 == 1 else h1 if nw1 == 1
                  else _neg_plogp(w1y.sum(axis=0)))
     h_w12y3, h_w1y3, h_w2y3, h_y3 = (_clamp(float(v), "entropy")
                                      for v in sums)

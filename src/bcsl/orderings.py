@@ -7,20 +7,20 @@ whether receiver `a` dominates receiver `b` in the respective sense.
   program whose row-stochastic factorization matrix is returned as witness
   and checked to 1e-9; where the LP's tolerance hides whether one exists,
   the verdict is indeterminate.
-* more capable: max over input pmfs of I(X;Y_b) − I(X;Y_a) is <= 0 — a
-  nonconcave search: the best scanned input pmf, refined by projected
-  gradient ascent.
-* less noisy: I(U;Y_a) >= I(U;Y_b) for all p(u,x), which holds iff
-  I(X;Y_a) − I(X;Y_b) is concave in p(x) (van Dijk, IEEE Trans. IT 43(2),
-  1997) — a scan of input pmfs for positive curvature; a positive-curvature
-  direction v at p gives the binary-U witness p(x|u) = p ± δv.
+* more capable: I(X;Y_b) − I(X;Y_a) = φ(p) − p·(h_b − h_a) <= 0 for every
+  input pmf p, as I(X;Y) = H(pW) − p·h(W), h(x) = H(W(·|x)) and φ(p) =
+  H(pW_b) − H(pW_a) — the best scanned p, refined by gradient ascent.
+* less noisy: I(U;Y_a) >= I(U;Y_b) for all p(u,x), which holds iff φ is
+  convex (van Dijk, IEEE Trans. IT 43(2), 1997) — a scan of input pmfs for
+  negative curvature of φ.  Such a direction v at p gives the binary-U
+  witness p(x|u) = c± = p ± δv, and its gap I(U;Y_b) − I(U;Y_a) is the
+  midpoint defect φ(p̄) − ½[φ(c₊) + φ(c₋)], p̄ the mean of c±.
 
 Both searches scan the same input pmfs (`_scan_points`): the uniform pmf,
 a simplex grid for nx <= GRID_CAP and 16·restarts seeded Dirichlet draws.
-Their verdicts are certified only up to search effort; reports carry the
-restart count and grid resolution.  The pass/fail tolerances are
-asymmetric (pass at <= 1e-7 violation, fail above 1e-6, indeterminate in
-between) to avoid flaky boundary verdicts.
+Their verdicts are certified only up to search effort (reports carry the
+restart count and grid resolution), with asymmetric tolerances against
+flaky boundary verdicts: pass at <= 1e-7, fail above 1e-6, else neither.
 """
 
 from __future__ import annotations
@@ -103,16 +103,33 @@ def _check_args(a: int, b: int, restarts: int = 0) -> None:
         raise UsageError(f"restarts must be >= 0, got {restarts}")
 
 
-def _mi(px: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """I(X;Y) in bits for a stack of input pmfs px (..., nx) through channel
-    matrices w (..., nx, ny), broadcast against each other."""
-    joint = px[..., :, None] * w
-    py = joint.sum(axis=-2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(joint > 0, joint / np.maximum(
-            px[..., :, None] * py[..., None, :], 1e-300), 1.0)
-        terms = np.where(joint > 0, joint * np.log(ratio), 0.0)
-    return terms.sum(axis=(-2, -1)) / _LOG2
+def _log2(q: np.ndarray) -> np.ndarray:
+    """log2 q, with q = 0 read as 1e-300: 0 log 0 = 0 in an entropy, and a
+    finite stand-in for the gradient's −∞ where p first reaches an output."""
+    return np.log2(q, out=np.full_like(q, np.log2(1e-300)), where=q > 0)
+
+
+def _entropy(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H(pW) in bits at each input pmf of a stack p (..., nx)."""
+    q = (p.reshape(-1, w.shape[0]) @ w).reshape(*p.shape[:-1], w.shape[1])
+    return -(q * _log2(q)).sum(axis=-1)
+
+
+def _phi(p: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """φ(p) = H(pW_b) − H(pW_a) at each input pmf of a stack p (..., nx)."""
+    return _entropy(p, wb) - _entropy(p, wa)
+
+
+def _excess(p: np.ndarray, wa: np.ndarray, wb: np.ndarray,
+            dh: np.ndarray) -> np.ndarray:
+    """I(X;Y_b) − I(X;Y_a) = φ(p) − p·Δh at each p of a stack."""
+    return _phi(p, wa, wb) - p @ dh
+
+
+def _excess_gradient(p: np.ndarray, wa: np.ndarray, wb: np.ndarray,
+                     dh: np.ndarray) -> np.ndarray:
+    """Gradient of `_excess` at one input pmf p (nx,)."""
+    return wa @ _log2(p @ wa) - wb @ _log2(p @ wb) - dh
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -184,8 +201,7 @@ def is_degraded(ch: Channel3, a: int, b: int) -> OrderingReport:
     LP's t is within DEGRADED_TOL + LP_FEAS_TOL, false otherwise.
     """
     _check_args(a, b)
-    wa = ch.marginal_to(a)
-    wb = ch.marginal_to(b)
+    wa, wb = ch.marginal_to(a), ch.marginal_to(b)
     nya, nyb = wa.shape[1], wb.shape[1]
     if a == b:
         return OrderingReport("degraded", (a, b), True, 0.0, np.eye(nya),
@@ -236,40 +252,28 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
                     seed: int = 0) -> OrderingReport:
     """Is receiver a more capable than b: I(X;Y_a) >= I(X;Y_b) for all p(x)?
 
-    Scores I(X;Y_b) − I(X;Y_a) on every `_scan_points` input pmf, then
-    refines the best one by projected gradient ascent; the gap is the
-    ascent's value, its input pmf the witness.
+    Scores φ(p) − p·Δh, Δh = h_b − h_a = φ at the unit pmfs, on every
+    `_scan_points` input pmf, then refines the best one by projected
+    gradient ascent; the gap is the ascent's value, its input pmf the witness.
     """
     _check_args(a, b, restarts)
     if a == b:
         return OrderingReport("more_capable", (a, b), True, 0.0,
                               np.full(ch.nx, 1.0 / ch.nx), ch.sha256)
-    wa = ch.marginal_to(a)
-    wb = ch.marginal_to(b)
-
-    def objective(px: np.ndarray) -> np.ndarray:
-        return _mi(px, wb) - _mi(px, wa)
-
-    def gradient(px: np.ndarray) -> np.ndarray:
-        # d I(X;Y)/d p(x) = D(W(.|x) || q) up to an additive constant
-        def part(w: np.ndarray) -> np.ndarray:
-            q = np.maximum(px @ w, 1e-300)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(w > 0, w * np.log(np.maximum(w, 1e-300) / q), 0.0)
-            return terms.sum(axis=1) / _LOG2
-        return part(wb) - part(wa)
-
+    wa, wb = ch.marginal_to(a), ch.marginal_to(b)
+    dh = _phi(np.eye(ch.nx), wa, wb)
     used_resolution, points = _scan_points(ch.nx, restarts, seed)
     start, start_val = None, -np.inf
     for p in points:
-        values = objective(p)
+        values = _excess(p, wa, wb, dh)
         if values.max() > start_val:
             start, start_val = p[np.argmax(values)], values.max()
-    best_p, best_val = _ascend(objective, gradient, start)
-    best_val = float(best_val)
+    best_p, best_val = _ascend(lambda p: _excess(p, wa, wb, dh),
+                               lambda p: _excess_gradient(p, wa, wb, dh),
+                               start)
     return OrderingReport("more_capable", (a, b), _band_verdict(best_val),
-                          best_val, best_p, ch.sha256, restarts=restarts,
-                          grid_resolution=used_resolution,
+                          float(best_val), best_p, ch.sha256,
+                          restarts=restarts, grid_resolution=used_resolution,
                           note="numerically certified only up to search effort")
 
 
@@ -283,11 +287,10 @@ def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
     """Is receiver a less noisy than b: I(U;Y_a) >= I(U;Y_b) for all p(u,x)?
 
     Scans the interior `_scan_points` input pmfs p for a positive top
-    eigenvalue of the Hessian of I(X;Y_a) − I(X;Y_b) on the simplex's
-    tangent space, (1/ln 2)[−W_a diag(1/q_a) W_aᵀ + W_b diag(1/q_b) W_bᵀ].
-    Along each such eigenvector v, a line search over δ up to the simplex
-    boundary scores p(u) = 1/2, p(x|u) = p ± δv by I(U;Y_b) − I(U;Y_a); the
-    best score (0 if none is positive) is the gap, its p(u,x) the witness.
+    eigenvalue of the Hessian of −φ on the simplex's tangent space.  Along
+    each such eigenvector v, a line search over δ up to the simplex boundary
+    scores c± = max(p ± δv, 0) by the midpoint defect of φ; the best score
+    (0 if none is positive) is the gap, p(u) = 1/2, p(x|u) = c± the witness.
     """
     _check_args(a, b, restarts)
     nx = ch.nx
@@ -301,7 +304,6 @@ def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
     used_resolution, points = _scan_points(nx, restarts, seed)
     # orthonormal basis of the tangent space {v : sum(v) = 0}
     basis = np.linalg.qr(np.eye(nx)[:, :-1] - 1.0 / nx)[0]
-    half = np.full(2, 0.5)
     steps = np.arange(1, _STEPS + 1) / _STEPS
     scanned = 0
     for p in points:
@@ -317,10 +319,11 @@ def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
         reach = np.divide(p, np.abs(v), out=np.full_like(p, np.inf),
                           where=v != 0).min(axis=1)
         delta = (reach[:, None] * steps)[..., None, None]      # (m, S, 1, 1)
-        # p(x|u) for u = 0, 1 at every step: (m, S, 2, nx)
+        # c± = p(x|u) for u = 0, 1 at every step: (m, S, 2, nx)
         cond = np.maximum(p[:, None, None]
                           + delta * np.stack([v, -v], axis=1)[:, None], 0.0)
-        score = _mi(half, cond @ wb) - _mi(half, cond @ wa)
+        score = (_phi(cond.mean(axis=2), wa, wb)
+                 - _phi(cond, wa, wb).mean(axis=2))
         best = np.unravel_index(np.argmax(score), score.shape)
         if score[best] > gap:
             gap, witness = float(score[best]), 0.5 * cond[best]
@@ -363,11 +366,7 @@ def implication_check(ch: Channel3, a: int, b: int, restarts: int = 32,
     deg = is_degraded(ch, a, b)
     ln = is_less_noisy(ch, a, b, restarts=restarts, seed=seed)
     mc = is_more_capable(ch, a, b, restarts=restarts, seed=seed)
-    violations = []
-    if deg.verdict is True and ln.verdict is False:
-        violations.append("degraded holds but less_noisy fails")
-    if ln.verdict is True and mc.verdict is False:
-        violations.append("less_noisy holds but more_capable fails")
-    if deg.verdict is True and mc.verdict is False:
-        violations.append("degraded holds but more_capable fails")
-    return ImplicationReport(deg, ln, mc, tuple(violations))
+    violations = tuple(f"{s.predicate} holds but {w.predicate} fails"
+                       for s, w in ((deg, ln), (ln, mc), (deg, mc))
+                       if s.verdict is True and w.verdict is False)
+    return ImplicationReport(deg, ln, mc, violations)

@@ -23,9 +23,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .channel_core import (HARD_TOL, JOINT_AXES, LP_FEAS_TOL, NORM_TOL,
-                           Channel3, JointPmf, _check_probs, conditional_mi,
-                           induced_joint)
+from .channel_core import (HARD_TOL, JOINT_AXES, LP_FEAS_TOL, AuxJoint,
+                           Channel3, JointPmf, conditional_mi, induced_joint)
 from .errors import (CapabilityError, PreconditionError, UsageError,
                      ValidationError)
 from .fme import is_constant_symbol, load_fixture
@@ -39,39 +38,6 @@ RATE_SYMBOLS = ("R0", "R1", "R1e", "R2", "R2e")
 
 # --------------------------------------------------------------------------
 # auxiliary joints
-
-
-@dataclass(frozen=True)
-class AuxJoint:
-    """Joint pmf over the auxiliaries (U1, U2, U3) and the input X."""
-
-    m1: int
-    m2: int
-    m3: int
-    nx: int
-    p: np.ndarray  # shape (m1, m2, m3, nx)
-
-    def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
-        if arr.shape != (self.m1, self.m2, self.m3, self.nx):
-            raise ValidationError(
-                f"aux tensor shape {arr.shape} != {(self.m1, self.m2, self.m3, self.nx)}")
-        _check_probs(arr, "aux joint")
-        if abs(arr.sum() - 1.0) > NORM_TOL:
-            raise ValidationError(f"aux joint sums to {arr.sum()!r}, not 1")
-        object.__setattr__(self, "p", arr)
-
-    def joint_pmf(self) -> JointPmf:
-        return JointPmf(("U1", "U2", "U3", "X"), self.p)
-
-    def to_dict(self) -> dict:
-        return {"m1": self.m1, "m2": self.m2, "m3": self.m3, "nx": self.nx,
-                "p": self.p.tolist()}
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "AuxJoint":
-        return AuxJoint(int(d["m1"]), int(d["m2"]), int(d["m3"]),
-                        int(d["nx"]), np.asarray(d["p"], float))
 
 
 @dataclass(frozen=True)

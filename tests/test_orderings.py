@@ -6,7 +6,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bcsl.channel_core import Channel3, JointPmf, conditional_mi
 from bcsl.errors import UsageError
-from bcsl.orderings import (_simplex_grid, implication_check, is_degraded,
+from bcsl.orderings import (_curvature, _excess, _excess_gradient, _phi,
+                            _simplex_grid, implication_check, is_degraded,
                             is_less_noisy, is_more_capable)
 
 from conftest import (bsc, cascade_channel, check_benchmark_key,
@@ -93,6 +94,19 @@ class TestMoreCapable:
         assert rep.grid_resolution == 0
         assert rep.verdict in (True, False, None)
 
+    def test_ascent_leaves_the_simplex_boundary(self):
+        # I(X;Y_1) − I(X;Y_3) peaks at 1 bit on the edge p = (1/2, 0, 0, 1/2):
+        # Y_1 is x mod 2 without noise, and Y_3 is the same symbol for x = 0
+        # and x = 3.  The ascent passes faces where some Y_3 symbol has
+        # probability 0; the gradient there must stay steep, not read as 0
+        w1 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        w3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.75, 0.25],
+                       [0.9, 0.01, 0.09], [0.0, 0.0, 1.0]])
+        ch = product_channel(w1, np.full((4, 2), 0.5), w3)
+        for restarts in (0, 2, 8):
+            rep = is_more_capable(ch, 3, 1, restarts=restarts, seed=0)
+            assert rep.gap == pytest.approx(1.0, abs=1e-9)
+
 
 class TestLessNoisy:
     def test_cascade(self, cascade):
@@ -171,6 +185,36 @@ def test_more_capable_gap_reaches_grid_maximum(nx, sizes, pair, restarts,
 
     best = (mi(ch.marginal_to(b)) - mi(ch.marginal_to(a))).max()
     assert rep.gap >= best - 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nx=st.integers(2, 4), nya=st.integers(2, 3), nyb=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_phi_derivatives_match_differences(nx, nya, nyb, seed):
+    # at an interior input pmf p, along random tangent directions u: the
+    # ascent's gradient is the slope of I(X;Y_b) − I(X;Y_a) = φ − p·Δh, and
+    # the less-noisy scan's Hessian the second derivative of −φ
+    rng = np.random.default_rng(seed)
+    wa, wb = _stochastic(rng, nx, nya), _stochastic(rng, nx, nyb)
+    dh = _phi(np.eye(nx), wa, wb)
+    p = 0.5 * rng.dirichlet(np.ones(nx)) + 0.5 / nx
+    grad = _excess_gradient(p, wa, wb, dh)
+    hess = (_curvature(p[None], wb) - _curvature(p[None], wa))[0] / np.log(2)
+    for u in rng.normal(size=(3, nx)):
+        u -= u.mean()
+        u /= np.abs(u).max()
+
+        def excess(t):
+            return _excess(p + t * u, wa, wb, dh)
+
+        def phi(t):
+            return _phi(p + t * u, wa, wb)
+
+        assert grad @ u == pytest.approx(
+            (excess(1e-5) - excess(-1e-5)) / 2e-5, rel=1e-6, abs=1e-8)
+        assert u @ hess @ u == pytest.approx(
+            -(phi(1e-4) - 2 * phi(0.0) + phi(-1e-4)) / 1e-8,
+            rel=1e-4, abs=1e-5)
 
 
 @pytest.mark.parametrize("key", range(16))
