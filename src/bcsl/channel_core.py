@@ -24,6 +24,10 @@ HARD_TOL = 1e-6
 # met may be violated by this much (a bound's polytope is feasible when no
 # rhs is below -LP_FEAS_TOL)
 LP_FEAS_TOL = 1e-7
+# cells of float64 in one block of stacked work, 1 MiB: a block of rows of
+# codec_sim's equivocation table, a block of its Monte Carlo trials, or a
+# lockstep block of the regions frontier search's restarts
+ENUM_BLOCK_CELLS = 2 ** 17
 # axes of the joint law that an auxiliary induces through the channel
 JOINT_AXES = ("U1", "U2", "U3", "X", "Y1", "Y2", "Y3")
 

@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import channel_core
 from .channel_core import (AuxJoint, Channel3, _clamp, conditional_mi,
                            induced_joint)
 from .errors import (CapabilityError, ConfigError, EncodingError,
@@ -33,9 +34,6 @@ RATE_TOL = 1e-9
 DEFAULT_RETRY_CAP = 2000
 DEFAULT_ENUM_CAP = 2 ** 20
 DEFAULT_CODEWORD_CAP = 10 ** 7
-# cells per block of exact_equivocation's wiretapper table and of the
-# largest per-trial array of a block of simulate trials: 1 MiB of float64
-ENUM_BLOCK_CELLS = 2 ** 17
 # sum tolerance of a sampling row, the one Generator.choice applies to p
 _PMF_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # two-sided 95% standard normal quantile of the Wilson interval
@@ -555,7 +553,7 @@ def _trial_block(cb: Codebook) -> int:
                  cb.decoder_targets)
     cells = max([n * ch.ny1 * ch.ny2 * ch.ny3]
                 + [c * max(n, pmf.size) for c, pmf in stages])
-    return max(1, ENUM_BLOCK_CELLS // cells)
+    return max(1, channel_core.ENUM_BLOCK_CELLS // cells)
 
 
 def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
@@ -684,7 +682,7 @@ def _block_plan(cb: Codebook) -> tuple[int, int]:
     rows = ny3 ** (n // 2)
     chunks = -(-math.prod(cb.x.shape[:-1]) // (groups * rows))
     if chunks == 1:
-        rows = min(rows, max(1, ENUM_BLOCK_CELLS
+        rows = min(rows, max(1, channel_core.ENUM_BLOCK_CELLS
                              // (groups * ny3 ** (n - n // 2))))
     return chunks, rows
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
+from . import channel_core
 from .channel_core import (HARD_TOL, JOINT_AXES, LP_FEAS_TOL, AuxJoint,
                            Channel3, JointPmf, conditional_mi, induced_joint)
 from .errors import (CapabilityError, PreconditionError, UsageError,
@@ -50,6 +52,9 @@ class FactorBlocks:
     U2 and of U3 and every required Markov chain holds exactly.  blocks:
     p(u1); then p(u2|u1) per u1, over the symbols it owns; then p(u3,x|u2)
     per u2, over the u3 symbols owned by the same u1 times X, flattened.
+    A stack of auxiliaries of one size, one per restart of the frontier
+    search, has the same blocks with a leading axis: block i of auxiliary r
+    is blocks[i][r].
     """
 
     m1: int
@@ -88,29 +93,53 @@ class FactorBlocks:
     def uniform(cls, m1: int, m2: int, m3: int, nx: int) -> "FactorBlocks":
         return cls._build(m1, m2, m3, nx, lambda k: np.full(k, 1 / k))
 
+    @classmethod
+    def stack(cls, states: Sequence["FactorBlocks"]) -> "FactorBlocks":
+        """The auxiliaries of `states`, all of one size, as one stack."""
+        return dataclasses.replace(states[0], blocks=tuple(
+            np.stack(b) for b in zip(*(s.blocks for s in states))))
+
+    def __getitem__(self, r: int) -> "FactorBlocks":
+        """Auxiliary r of a stack."""
+        return dataclasses.replace(self,
+                                   blocks=tuple(b[r] for b in self.blocks))
+
     def joint(self) -> np.ndarray:
-        """p(u1,u2,u3,x) = p(u1) p(u2|u1) p(u3,x|u2), shape (m1, m2, m3, nx),
-        unvalidated: zero off the owned symbols."""
-        m1, m2 = self.m1, self.m2
-        p21 = np.zeros((m1, m2))
-        p32 = np.zeros((m2, self.m3, self.nx))
+        """p(u1,u2,u3,x) = p(u1) p(u2|u1) p(u3,x|u2), shape (m1, m2, m3, nx)
+        after a stack's leading axis, unvalidated: zero off the owned
+        symbols."""
+        m1, m2, nx = self.m1, self.m2, self.nx
+        lead = self.blocks[0].shape[:-1]
+        p21 = np.zeros(lead + (m1, m2))
+        p32 = np.zeros(lead + (m2, self.m3, nx))
         for a in range(m1):
-            p21[a, a::m1] = self.blocks[1 + a]
+            p21[..., a, a::m1] = self.blocks[1 + a]
         for j in range(m2):
-            p32[j, j % m1::m1] = self.blocks[1 + m1 + j].reshape(-1, self.nx)
-        return self.blocks[0][:, None, None, None] * p21[..., None, None] * p32
+            p32[..., j, j % m1::m1, :] = self.blocks[1 + m1 + j].reshape(
+                lead + (-1, nx))
+        return (self.blocks[0][..., :, None, None, None]
+                * p21[..., None, None] * p32[..., None, :, :, :])
 
     def to_aux(self) -> AuxJoint:
         return AuxJoint(self.m1, self.m2, self.m3, self.nx, self.joint())
 
-    def perturbed(self, rng: np.random.Generator, step: float
+    def perturbed(self, rngs: Sequence[np.random.Generator], step: float
                   ) -> "FactorBlocks":
-        """Copy with Gaussian noise added to one randomly chosen block."""
-        i = int(rng.integers(0, len(self.blocks)))
-        b = self.blocks[i]
-        new = _renorm(b + step * rng.normal(size=b.shape))
-        return dataclasses.replace(
-            self, blocks=self.blocks[:i] + (new,) + self.blocks[i + 1:])
+        """Copy of a stack with Gaussian noise added to one block of each
+        auxiliary r, the block and the noise drawn from rngs[r]."""
+        blocks = [b.copy() for b in self.blocks]
+        for r, rng in enumerate(rngs):
+            i = int(rng.integers(0, len(blocks)))
+            b = blocks[i][r]
+            blocks[i][r] = _renorm(b + step * rng.normal(size=b.shape))
+        return dataclasses.replace(self, blocks=tuple(blocks))
+
+    def where(self, take: np.ndarray, other: "FactorBlocks"
+              ) -> "FactorBlocks":
+        """The stack with auxiliary r taken from `other` where take[r]."""
+        return dataclasses.replace(self, blocks=tuple(
+            np.where(take[:, None], o, b)
+            for b, o in zip(self.blocks, other.blocks)))
 
 
 MARKOV_CHAINS = (
@@ -361,10 +390,11 @@ def _dual_vertices(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _Scorer:
-    """The frontier search's score of an auxiliary for one (bound, channel,
-    weights): (True, max w . r over the bound's polytope) when the polytope
-    is nonempty, else (False, the least rhs), so a search can climb an
-    infeasible auxiliary toward feasibility.
+    """The frontier search's score of a stack of auxiliaries for one
+    (bound, channel, weights): per auxiliary, (True, max w . r over the
+    bound's polytope) when the polytope is nonempty, else (False, the least
+    rhs), so a search can climb an infeasible auxiliary toward feasibility.
+    One auxiliary is a stack of one.
 
     Each MI constant comes from a table of the entropies the bound needs.
     The entropy of an axis set is taken from the aux marginal p(S_U, x)
@@ -378,60 +408,88 @@ class _Scorer:
     {y >= 0 : A^T y >= w}, which is enumerated once.  Scores agree with
     polytope_lp(_instantiate(...)) to about 1e-14, except where HiGHS
     returns a point that violates a row within its tolerance; the reported
-    auxiliary goes through eval_bound and polytope_lp."""
+    auxiliary goes through eval_bound and polytope_lp.
+
+    The marginals, entropies and group minima are numpy reductions over the
+    whole stack.  The products mi = M @ h, rhs = C @ mi and V @ g stay one
+    matrix-vector product per auxiliary: a stacked matrix product sums in
+    another order, and its scores differ from a lone auxiliary's in the
+    last bits, up to 1.8e-15 on the benchmark's searches, which could move a
+    step across the 1e-12 margin of `_beats`.  So an auxiliary's score does
+    not depend on the stack it is scored in."""
 
     def __init__(self, bound: BoundId, ch: Channel3, w: np.ndarray):
         t = self.t = _compile(bound)
         free_cols = [RATE_SYMBOLS.index(s) for s in t.free_symbols]
         self.vertices = _dual_vertices(t.a_groups, w[free_cols])
-        self.sets = []       # (U axes summed out, X kept, p(S_Y | x))
+        # (axes of U summed out of a stack, X kept, p(S_Y | x))
+        self.sets = []
         for s in t.entropy_sets:
-            drop_u = tuple(i for i, v in enumerate(JOINT_AXES[:3])
+            drop_u = tuple(i for i, v in enumerate(JOINT_AXES[:3], 1)
                            if v not in s)
             drop_y = tuple(i for i, v in enumerate(JOINT_AXES[4:], 1)
                            if v not in s)
             py = (None if len(drop_y) == 3
                   else ch.p.sum(axis=drop_y).reshape(ch.nx, -1))
             self.sets.append((drop_u, "X" in s, py))
+        self.nx = ch.nx
         self.calls = 0
         self.infeasible = 0
 
-    def __call__(self, p: np.ndarray) -> tuple[bool, float]:
-        """Score the auxiliary joint p(u1,u2,u3,x), which is not checked."""
-        self.calls += 1
+    def cells(self, m1: int, m2: int, m3: int) -> int:
+        """Cells of the joint arrays whose entropies a score takes, per
+        auxiliary of these sizes: the measure of a score's memory that
+        sizes a lockstep block."""
+        sizes = (m1, m2, m3)
+        return sum(math.prod(sizes[i - 1] for i in (1, 2, 3)
+                             if i not in drop_u)
+                   * (self.nx if has_x else 1)
+                   * (1 if py is None else py.shape[1])
+                   for drop_u, has_x, py in self.sets)
+
+    def __call__(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score the stack of auxiliary joints p(u1,u2,u3,x), shape
+        (R, m1, m2, m3, nx), which are not checked: (feasible, score), both
+        of shape (R,)."""
+        stack, nx = len(p), p.shape[-1]
+        self.calls += stack
         marginals: dict[tuple[int, ...], np.ndarray] = {}   # p(S_U, x)
         joints = []
         for drop_u, has_x, py in self.sets:
             pu = marginals.get(drop_u)
             if pu is None:
                 pu = marginals[drop_u] = p.sum(axis=drop_u).reshape(
-                    -1, p.shape[3])
-            joint = pu if py is None else pu[:, :, None] * py[None]
-            joints.append((joint if has_x else joint.sum(axis=1)).ravel())
-        sizes = [j.size for j in joints]
-        flat = np.concatenate(joints)
+                    stack, -1, nx)
+            joint = pu if py is None else pu[..., None] * py
+            joints.append((joint if has_x else joint.sum(axis=2))
+                          .reshape(stack, -1))
+        starts = np.cumsum([0] + [j.shape[1] for j in joints[:-1]])
+        flat = np.concatenate(joints, axis=1)
         plogp = flat * np.log2(flat, out=np.zeros_like(flat), where=flat > 0)
-        h = -np.add.reduceat(plogp, np.cumsum([0] + sizes[:-1]))
-        mi = self.t.mi_from_h @ h
+        h = -np.add.reduceat(plogp, starts, axis=1)
+        mi = np.array([self.t.mi_from_h @ row for row in h])
         if mi.min() < -HARD_TOL:
             raise ValidationError(
                 f"conditional mutual information = {mi.min()}: negative "
                 "beyond tolerance")
-        rhs = self.t.rhs_from_mi @ np.maximum(mi, 0.0)
-        val = self.value(rhs)
-        if val is None:
-            self.infeasible += 1
-            return False, float(rhs.min())
-        return True, val
+        rhs = np.array([self.t.rhs_from_mi @ row
+                        for row in np.maximum(mi, 0.0)])
+        feasible, score = self.keys(rhs)
+        self.infeasible += int(np.count_nonzero(~feasible))
+        return feasible, score
 
-    def value(self, rhs: np.ndarray) -> float | None:
-        """The LP value for the rhs of the rows, then 0 for R1e <= R1 and
-        R2e <= R2; None if infeasible."""
-        if rhs.min() < -LP_FEAS_TOL or not len(self.vertices):
-            return None
-        g = np.full(len(self.t.a_groups), np.inf)
-        np.minimum.at(g, self.t.row_group, rhs)
-        return float((self.vertices @ g).min())
+    def keys(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(feasible, score) for each row of rhs, which holds the rhs of a
+        bound's rows, then 0 for R1e <= R1 and R2e <= R2: the LP value where
+        the polytope is nonempty, else the least rhs."""
+        least = rhs.min(axis=1)
+        feasible = ~(least < -LP_FEAS_TOL) & bool(len(self.vertices))
+        g = np.full((len(rhs), len(self.t.a_groups)), np.inf)
+        np.minimum.at(g, (slice(None), self.t.row_group), rhs)
+        score = least.copy()
+        for r in np.flatnonzero(feasible):
+            score[r] = (self.vertices @ g[r]).min()
+        return feasible, score
 
 
 # --------------------------------------------------------------------------
@@ -664,14 +722,24 @@ def polytope_lp(pol: RatePolytope, weights: Sequence[float]
 class SearchEffort:
     """What one frontier search did: auxiliaries scored, how many of them
     were infeasible, the restarts that never became feasible, the size of
-    the dual vertex table and the restart whose auxiliary is reported.  For
-    the run manifest, never the output."""
+    the dual vertex table, the restart whose auxiliary is reported, each
+    restart's final score as (feasible, value) in restart order, and the
+    restarts per lockstep block.  For the run manifest, never the output."""
 
     evaluations: int
     infeasible: int
     infeasible_restarts: int
     dual_vertices: int
     winning_restart: int
+    restart_scores: tuple[tuple[bool, float], ...]
+    block_restarts: int
+
+
+def _beats(a: tuple, b: tuple) -> np.ndarray:
+    """Whether score a = (feasible, value) beats b, elementwise on stacks:
+    a feasible score beats an infeasible one, and otherwise the larger
+    value wins by more than 1e-12."""
+    return (a[0] > b[0]) | ((a[0] == b[0]) & (a[1] > b[1] + 1e-12))
 
 
 def max_weighted_rate(bound: BoundId, ch: Channel3,
@@ -690,7 +758,20 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
     feasible score beats an infeasible one, and otherwise the larger value
     wins by more than 1e-12.  So a restart whose start is infeasible climbs
     its least rhs until the polytope is nonempty, then climbs the LP value;
-    only restarts that end feasible compete for the result.
+    only restarts that end feasible compete for the result, in restart
+    order.
+
+    Restart r draws from its own generator default_rng([seed, r]): its
+    start, then per step the block to perturb and the noise.  The restarts
+    run in lockstep blocks, one step of every restart of a block per
+    _Scorer call on the stack of their candidates, and each restart takes
+    or leaves its own candidate.  A block holds as many restarts as
+    channel_core.ENUM_BLOCK_CELLS cells hold of their scores
+    (_Scorer.cells), at least one, and its generators and states are made
+    when it starts, so the search's working memory does not grow with the
+    restarts; only the restart scores, one (feasible, value) pair per
+    restart, do.  Since a score does not depend on its stack, the result
+    is that of running the restarts one after another.
 
     Sizes whose induced joint would exceed JOINT_CELL_CAP cells are refused
     before the search.
@@ -712,30 +793,34 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
             f"cells > cap {JOINT_CELL_CAP}; shrink the auxiliary sizes")
     _preconditions(bound, ch, ordering_reports, override)
     evaluate = _Scorer(bound, ch, w)
-
-    def beats(a: tuple[bool, float], b: tuple[bool, float]) -> bool:
-        return a[0] > b[0] or (a[0] == b[0] and a[1] > b[1] + 1e-12)
-
-    best: tuple[tuple[bool, float], int, FactorBlocks] | None = None
-    infeasible_restarts = 0
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        state = (FactorBlocks.uniform(m1, m2, m3, ch.nx) if restart == 0
-                 else FactorBlocks.random(rng, m1, m2, m3, ch.nx))
+    block = min(cfg.restarts, max(1, channel_core.ENUM_BLOCK_CELLS
+                                  // evaluate.cells(m1, m2, m3)))
+    feasible = np.empty(cfg.restarts, bool)
+    score = np.empty(cfg.restarts)
+    best: tuple[int, FactorBlocks] | None = None
+    for lo in range(0, cfg.restarts, block):
+        hi = min(lo + block, cfg.restarts)
+        rngs = [np.random.default_rng([cfg.seed, r]) for r in range(lo, hi)]
+        state = FactorBlocks.stack([
+            FactorBlocks.uniform(m1, m2, m3, ch.nx) if r == 0
+            else FactorBlocks.random(rng, m1, m2, m3, ch.nx)
+            for r, rng in enumerate(rngs, lo)])
         key = evaluate(state.joint())
         for _ in range(cfg.iters):
-            cand = state.perturbed(rng, PERTURB_STEP)
+            cand = state.perturbed(rngs, PERTURB_STEP)
             ckey = evaluate(cand.joint())
-            if beats(ckey, key):
-                state, key = cand, ckey
-        if not key[0]:
-            infeasible_restarts += 1
-        elif best is None or beats(key, best[0]):
-            best = (key, restart, state)
+            take = _beats(ckey, key)
+            state = state.where(take, cand)
+            key = tuple(np.where(take, c, k) for c, k in zip(ckey, key))
+        feasible[lo:hi], score[lo:hi] = key
+        for r in range(lo, hi):
+            if feasible[r] and (best is None or _beats(
+                    (True, score[r]), (True, score[best[0]]))):
+                best = (r, state[r - lo])
     if best is None:
         raise ValidationError(
             "polytope infeasible at every searched auxiliary")
-    _, restart, state = best
+    restart, state = best
     aux = state.to_aux()
     pol = eval_bound(bound, ch, aux, ordering_reports=ordering_reports,
                      override=override)
@@ -745,8 +830,9 @@ def max_weighted_rate(bound: BoundId, ch: Channel3,
             "HiGHS found no optimum at the reported auxiliary")
     rate, value = solved
     return rate, aux, value, SearchEffort(
-        evaluate.calls, evaluate.infeasible, infeasible_restarts,
-        len(evaluate.vertices), restart)
+        evaluate.calls, evaluate.infeasible,
+        int(np.count_nonzero(~feasible)), len(evaluate.vertices), restart,
+        tuple(zip(feasible.tolist(), score.tolist())), block)
 
 
 def _renorm(v: np.ndarray) -> np.ndarray:

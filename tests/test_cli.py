@@ -280,9 +280,20 @@ class TestOutputsRoundTrip:
             capsys.readouterr()
             manifest = json.loads(
                 (tmp_path / "f.csv.manifest.json").read_text())
-            # every restart scores its start and one candidate per step
-            assert manifest["extras"]["search"] == {
-                "evaluations": 3 * (iters + 1), **want}
+            search = manifest["extras"]["search"]
+            scores = search.pop("restart_scores")
+            # every restart scores its start and one candidate per step;
+            # the three restarts fit one lockstep block
+            assert search == {"evaluations": 3 * (iters + 1),
+                              "block_restarts": 3, **want}
+            # one final (feasible, value) per restart, in restart order; the
+            # reported restart is the first holding the best feasible value
+            assert len(scores) == 3
+            values = [v for ok, v in scores if ok]
+            assert len(values) == 3 - search["infeasible_restarts"]
+            assert search["winning_restart"] == min(
+                r for r, (ok, v) in enumerate(scores)
+                if ok and v == max(values))
         # the effort stays out of the primary output and the sidecar
         assert out.read_text().splitlines()[0] == (
             "w_r0,w_r1,w_r1e,w_r2,w_r2e,R0,R1,R1e,R2,R2e,value")

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bcsl import codec_sim
+from bcsl import channel_core
 from bcsl.codec_sim import (CodeConfig, Codebook, batch_typical,
                             build_codebook, decode_all, encode, message_size,
                             simulate, typical, wilson_interval)
@@ -436,9 +436,9 @@ def test_simulate_report_does_not_depend_on_trial_blocks(monkeypatch):
     case = _golden_case("mc", 3)
     want = simulate(*case, 300, 3)
     assert want.block_trials > 1
-    per_trial = codec_sim.ENUM_BLOCK_CELLS // want.block_trials
+    per_trial = channel_core.ENUM_BLOCK_CELLS // want.block_trials
     for cells, block in ((1, 1), (7 * per_trial, 7)):
-        monkeypatch.setattr(codec_sim, "ENUM_BLOCK_CELLS", cells)
+        monkeypatch.setattr(channel_core, "ENUM_BLOCK_CELLS", cells)
         got = simulate(*case, 300, 3)
         assert got.block_trials == block
         assert _report_text(got) == _report_text(want)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcsl import codec_sim
+from bcsl import channel_core, codec_sim
 from bcsl.codec_sim import (CodeConfig, Codebook, build_codebook,
                             enumeration_counts, exact_equivocation,
                             secrecy_gap_study)
@@ -164,7 +164,7 @@ class TestEntropySums:
         counted.calls = 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codec_sim, "_neg_plogp", counted)
-            mp.setattr(codec_sim, "ENUM_BLOCK_CELLS", _FEW_CELLS)
+            mp.setattr(channel_core, "ENUM_BLOCK_CELLS", _FEW_CELLS)
             rep = exact_equivocation(cb)
             rows = enumeration_counts(cb)["row_blocks"]
         assert rows > 1 and len(blocks) == rows
@@ -257,9 +257,9 @@ def test_stacked_equivocation_matches_kron_loop(n, ny3, sizes, seed):
     want = _kron_oracle(cb)
     # the default block, then blocks of a few cells: several row blocks,
     # some with a ragged last one
-    for cells in (codec_sim.ENUM_BLOCK_CELLS, _FEW_CELLS):
+    for cells in (channel_core.ENUM_BLOCK_CELLS, _FEW_CELLS):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(codec_sim, "ENUM_BLOCK_CELLS", cells)
+            mp.setattr(channel_core, "ENUM_BLOCK_CELLS", cells)
             rep = exact_equivocation(cb)
         got = (rep.h_w1_given_y3, rep.h_w2_given_y3, rep.h_w12_given_y3)
         assert got == pytest.approx(want, abs=1e-12)

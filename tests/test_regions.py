@@ -2,19 +2,23 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bcsl.channel_core import Channel3, conditional_mi, induced_joint
+from bcsl import channel_core
+from bcsl.channel_core import (JOINT_AXES, Channel3, conditional_mi,
+                               induced_joint)
 from bcsl.errors import PreconditionError, UsageError, ValidationError
 from bcsl.fme import IneqSystem, is_constant_symbol, load_fixture
 from bcsl.orderings import is_less_noisy, is_more_capable
 from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, LP_FEAS_TOL,
                           PERTURB_STEP, RATE_SYMBOLS, PolytopeRow,
-                          RatePolytope, RateTuple, SearchConfig, _FIXTURES,
-                          _Scorer, _compile, _dual_vertices, _instantiate,
+                          RatePolytope, RateTuple, SearchConfig,
+                          SearchEffort, _FIXTURES, _Scorer, _compile,
+                          _dual_vertices, _instantiate, _renorm,
                           _preconditions, check_markov, eval_bound,
                           eval_cor3_match, max_weighted_rate, parse_mi_name,
                           polytope_lp)
@@ -71,10 +75,19 @@ class TestAuxJoint:
         # or not, passes the gate and evaluates exactly as through it
         rng = np.random.default_rng(seed)
         ch = random_channel(rng, nx, 2, 2, 2)
-        state = FactorBlocks.random(rng, m1, m1 + extra2, m1 + extra3, nx)
+        # a stack of three, perturbed as the search perturbs it: each
+        # auxiliary's joint in the stack is its joint alone
+        rngs = [np.random.default_rng([seed, r]) for r in range(3)]
+        stack = FactorBlocks.stack([
+            FactorBlocks.random(g, m1, m1 + extra2, m1 + extra3, nx)
+            for g in rngs])
         for _ in range(steps):
-            state = state.perturbed(rng, PERTURB_STEP)
-        assert state.joint().tobytes() == _owner_loop_joint(state).tobytes()
+            stack = stack.perturbed(rngs, PERTURB_STEP)
+        joints = stack.joint()
+        for r in range(3):
+            state = stack[r]
+            assert joints[r].tobytes() == state.joint().tobytes()
+            assert joints[r].tobytes() == _owner_loop_joint(state).tobytes()
         aux = state.to_aux()
         assert all(r <= 1e-12 for _, r in check_markov(aux))
         joint = induced_joint(ch, aux)
@@ -375,7 +388,8 @@ class TestSideConditions:
                                    for r in pol.rows if r.coeffs):
                 continue
             broken += 1
-            assert _Scorer(bound, ch, w)(aux.p)[0] is False
+            (feasible,), _ = _Scorer(bound, ch, w)(aux.p[None])
+            assert not feasible
             assert polytope_lp(pol, w) is None
         assert broken >= 1      # draw 116 breaks both bounds' conditions
 
@@ -441,11 +455,11 @@ class TestScorer:
             rng = np.random.default_rng(seed)
             for ch in _SCORER_CHANNELS.values():
                 score = _Scorer(bound, ch, np.asarray(weights, float))
-                state = FactorBlocks.random(rng, m1, m1 + extra2,
-                                            m1 + extra3, ch.nx)
+                state = FactorBlocks.stack([FactorBlocks.random(
+                    rng, m1, m1 + extra2, m1 + extra3, ch.nx)])
                 for _ in range(2):
-                    aux = state.to_aux()
-                    feasible, got = score(aux.p)
+                    aux = state[0].to_aux()
+                    (feasible,), (got,) = score(aux.p[None])
                     pol = eval_bound(bound, ch, aux, override=True)
                     want = polytope_lp(pol, weights)
                     assert feasible == (want is not None) == pol.feasible
@@ -461,7 +475,7 @@ class TestScorer:
                             score.vertices).sum(axis=1).max()
                         assert abs(got - want[1]) <= 1e-12 + slack
                     verdicts.append(feasible)
-                    state = state.perturbed(rng, PERTURB_STEP)
+                    state = state.perturbed([rng], PERTURB_STEP)
 
         check()
         assert any(verdicts) and not all(verdicts)
@@ -483,9 +497,235 @@ class TestScorer:
                 rows[i] = dataclasses.replace(rows[i], rhs=rhs)
                 highs = polytope_lp(dataclasses.replace(pol, rows=tuple(rows)),
                                     w)
-                got = score.value(np.array([r.rhs for r in rows] + [0, 0]))
+                (got,), _ = score.keys(
+                    np.array([[r.rhs for r in rows] + [0, 0]]))
                 assert (highs is not None) is feasible, (rows[i].tag, rhs)
-                assert (got is not None) is feasible, (rows[i].tag, rhs)
+                assert got == feasible, (rows[i].tag, rhs)
+
+
+class _OneAuxScorer:
+    """Reference for _Scorer: the one-auxiliary scorer it replaced, which
+    scores p(u1,u2,u3,x) alone and returns (feasible, score)."""
+
+    def __init__(self, bound, ch, w):
+        t = self.t = _compile(bound)
+        free_cols = [RATE_SYMBOLS.index(s) for s in t.free_symbols]
+        self.vertices = _dual_vertices(t.a_groups, w[free_cols])
+        self.sets = []
+        for s in t.entropy_sets:
+            drop_u = tuple(i for i, v in enumerate(JOINT_AXES[:3])
+                           if v not in s)
+            drop_y = tuple(i for i, v in enumerate(JOINT_AXES[4:], 1)
+                           if v not in s)
+            py = (None if len(drop_y) == 3
+                  else ch.p.sum(axis=drop_y).reshape(ch.nx, -1))
+            self.sets.append((drop_u, "X" in s, py))
+        self.calls = 0
+        self.infeasible = 0
+
+    def __call__(self, p):
+        self.calls += 1
+        marginals = {}
+        joints = []
+        for drop_u, has_x, py in self.sets:
+            pu = marginals.get(drop_u)
+            if pu is None:
+                pu = marginals[drop_u] = p.sum(axis=drop_u).reshape(
+                    -1, p.shape[3])
+            joint = pu if py is None else pu[:, :, None] * py[None]
+            joints.append((joint if has_x else joint.sum(axis=1)).ravel())
+        sizes = [j.size for j in joints]
+        flat = np.concatenate(joints)
+        plogp = flat * np.log2(flat, out=np.zeros_like(flat), where=flat > 0)
+        h = -np.add.reduceat(plogp, np.cumsum([0] + sizes[:-1]))
+        mi = self.t.mi_from_h @ h
+        assert mi.min() >= -1e-6
+        rhs = self.t.rhs_from_mi @ np.maximum(mi, 0.0)
+        val = self.value(rhs)
+        if val is None:
+            self.infeasible += 1
+            return False, float(rhs.min())
+        return True, val
+
+    def value(self, rhs):
+        if rhs.min() < -LP_FEAS_TOL or not len(self.vertices):
+            return None
+        g = np.full(len(self.t.a_groups), np.inf)
+        np.minimum.at(g, self.t.row_group, rhs)
+        return float((self.vertices @ g).min())
+
+
+def _perturbed_one(state, rng, step):
+    """Reference for FactorBlocks.perturbed on one auxiliary."""
+    i = int(rng.integers(0, len(state.blocks)))
+    b = state.blocks[i]
+    new = _renorm(b + step * rng.normal(size=b.shape))
+    return dataclasses.replace(
+        state, blocks=state.blocks[:i] + (new,) + state.blocks[i + 1:])
+
+
+def _sequential_search(bound, ch, weights, cfg, override):
+    """Reference for max_weighted_rate: its restarts one after another, each
+    scored one auxiliary at a time.  Returns (rate, aux, value, effort)
+    with no lockstep block size."""
+    w = np.asarray(weights, float)
+    m1, m2, m3 = cfg.sizes(ch.nx)
+    evaluate = _OneAuxScorer(bound, ch, w)
+
+    def beats(a, b):
+        return a[0] > b[0] or (a[0] == b[0] and a[1] > b[1] + 1e-12)
+
+    best, keys = None, []
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, restart])
+        state = (FactorBlocks.uniform(m1, m2, m3, ch.nx) if restart == 0
+                 else FactorBlocks.random(rng, m1, m2, m3, ch.nx))
+        key = evaluate(_owner_loop_joint(state))
+        for _ in range(cfg.iters):
+            cand = _perturbed_one(state, rng, PERTURB_STEP)
+            ckey = evaluate(_owner_loop_joint(cand))
+            if beats(ckey, key):
+                state, key = cand, ckey
+        keys.append(key)
+        if key[0] and (best is None or beats(key, best[0])):
+            best = (key, restart, state)
+    _, restart, state = best
+    aux = state.to_aux()
+    rate, value = polytope_lp(eval_bound(bound, ch, aux, override=override),
+                              w)
+    return rate, aux, value, SearchEffort(
+        evaluate.calls, evaluate.infeasible,
+        sum(not ok for ok, _ in keys), len(evaluate.vertices), restart,
+        tuple(keys), None)
+
+
+# channels whose scored stacks mix feasible and infeasible auxiliaries: the
+# structured ones, and random ones with two and three inputs; on the first
+# six, the region_type2 random channels of the frontier tests, every
+# region_type2 start is infeasible
+_ORACLE_CHANNELS = (
+    list(_SCORER_CHANNELS.values())
+    + [random_channel(rng, nx, 2, 3, 2)
+       for nx, rng in ((2, np.random.default_rng(7)),
+                       (3, np.random.default_rng(8)))
+       for _ in range(6)])
+
+
+def test_stacked_scorer_matches_one_aux_reference():
+    # each auxiliary's score in a stack is bit for bit its score alone,
+    # and the counters count auxiliaries
+    mixed = []
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(bound=st.sampled_from(list(BoundId)),
+           ch=st.sampled_from(_ORACLE_CHANNELS),
+           sizes=st.sampled_from([(1, 3, 3), (1, 4, 4), (2, 2, 3), None]),
+           weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                            min_size=5, max_size=5).filter(any),
+           stack=st.integers(1, 7), steps=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def check(bound, ch, sizes, weights, stack, steps, seed):
+        m1, m2, m3 = sizes or (ch.nx + 1,) * 3
+        w = np.asarray(weights, float)
+        rngs = [np.random.default_rng([seed, r]) for r in range(stack)]
+        states = FactorBlocks.stack([
+            FactorBlocks.random(g, m1, m2, m3, ch.nx) for g in rngs])
+        for _ in range(steps):
+            states = states.perturbed(rngs, PERTURB_STEP)
+        p = states.joint()
+        got, want = _Scorer(bound, ch, w), _OneAuxScorer(bound, ch, w)
+        feasible, score = got(p)
+        assert feasible.shape == score.shape == (stack,)
+        for r in range(stack):
+            ok, value = want(p[r])
+            assert feasible[r] == ok
+            assert score[r].tobytes() == np.float64(value).tobytes()
+        assert (got.calls, got.infeasible) == (want.calls, want.infeasible)
+        mixed.append(0 < want.infeasible < stack)
+        # the LP values of arbitrary rhs stacks, some rows below zero
+        rng = np.random.default_rng(seed)
+        rhs = rng.exponential(size=(stack, len(got.t.rhs_from_mi)))
+        rhs[:, -2:] = 0.0
+        rhs[rng.random(stack) < 0.3, 0] *= -1
+        feasible, score = got.keys(rhs)
+        for r in range(stack):
+            value = want.value(rhs[r])
+            assert feasible[r] == (value is not None)
+            assert score[r].tobytes() == np.float64(
+                rhs[r].min() if value is None else value).tobytes()
+
+    check()
+    assert sum(mixed) >= 5
+
+
+# (bound, channel, weights, search, override) of the lockstep oracle
+_SEARCH_CASES = {
+    "restarts1": (BoundId.INNER_3DM, _SCORER_CHANNELS["cascade"],
+                  [1, 1, 1, 1, 1], SearchConfig(restarts=1, iters=30, seed=3),
+                  False),
+    "iters0": (BoundId.OUTER_3DM, _SCORER_CHANNELS["product3"],
+               [0, 1, 1, 0, 0], SearchConfig(restarts=6, iters=0, seed=2),
+               True),
+    # the first region_type2 random channel: every start is infeasible
+    "climb": (BoundId.REGION_TYPE2, _ORACLE_CHANNELS[3], [1, 1, 1, 0, 0],
+              SearchConfig(restarts=4, iters=30), True),
+    # one restart ends infeasible, and restart 5 wins
+    "ragged": (BoundId.OUTER_TYPE1, _ORACLE_CHANNELS[9], [0, 1, 1, 0, 1],
+               SearchConfig(1, 3, 3, restarts=7, iters=20, seed=5), True),
+}
+
+
+@pytest.mark.parametrize("name,per_block", [
+    ("restarts1", None), ("iters0", None), ("climb", None),
+    # the cell budget patched to one restart per block, then to blocks of
+    # 5 of 7 restarts, the last block ragged
+    ("ragged", 1), ("ragged", 5)])
+def test_lockstep_search_matches_sequential_restarts(name, per_block,
+                                                     monkeypatch):
+    bound, ch, weights, cfg, override = _SEARCH_CASES[name]
+    if per_block is not None:
+        cells = _Scorer(bound, ch, np.asarray(weights, float)).cells(
+            *cfg.sizes(ch.nx))
+        monkeypatch.setattr(channel_core, "ENUM_BLOCK_CELLS",
+                            per_block * cells)
+    rate, aux, value, effort = max_weighted_rate(bound, ch, weights, cfg,
+                                                 override=override)
+    want_rate, want_aux, want_value, want_effort = _sequential_search(
+        bound, ch, weights, cfg, override)
+    assert rate == want_rate and value == want_value
+    assert aux.p.tobytes() == want_aux.p.tobytes()
+    assert dataclasses.replace(effort, block_restarts=None) == want_effort
+    assert effort.block_restarts == (per_block or cfg.restarts)
+    if name == "climb":
+        # every start is infeasible, so the result comes from a climb
+        m = cfg.sizes(ch.nx)
+        ref = _OneAuxScorer(bound, ch, np.asarray(weights, float))
+        starts = [FactorBlocks.uniform(*m, ch.nx)] + [
+            FactorBlocks.random(np.random.default_rng([cfg.seed, r]), *m,
+                                ch.nx) for r in range(1, cfg.restarts)]
+        assert not any(ref(_owner_loop_joint(s))[0] for s in starts)
+
+
+def test_search_memory_does_not_grow_with_restarts(monkeypatch):
+    # blocks of 8 restarts: each block's generators and states are made
+    # when it starts, so 400 restarts peak where 16 do, but for the two
+    # numbers per restart of the restart scores (about 100 bytes each);
+    # a generator and a state alone take about 2 KB
+    ch, w = _SCORER_CHANNELS["cascade"], [1, 1, 1, 0, 0]
+    cells = _Scorer(BoundId.REGION_TYPE2, ch, np.ones(5)).cells(3, 3, 3)
+    monkeypatch.setattr(channel_core, "ENUM_BLOCK_CELLS", 8 * cells)
+    peaks = []
+    for restarts in (16, 400):
+        tracemalloc.start()
+        try:
+            effort = max_weighted_rate(
+                BoundId.REGION_TYPE2, ch, w,
+                SearchConfig(restarts=restarts, iters=0), override=True)[3]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert effort.block_restarts == 8
+    assert peaks[1] - peaks[0] <= 2 ** 17, peaks
 
 
 def _dual_vertices_all_rows(a, w):
