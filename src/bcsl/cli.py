@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -334,7 +335,10 @@ def cmd_sim_study(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and no handler changes it."""
     p = argparse.ArgumentParser(
         prog="bcsl",
         description="Rate-equivocation bounds for a 3-receiver broadcast "

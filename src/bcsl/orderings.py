@@ -10,6 +10,8 @@ whether receiver `a` dominates receiver `b` in the respective sense.
 * more capable: I(X;Y_b) − I(X;Y_a) = φ(p) − p·(h_b − h_a) <= 0 for every
   input pmf p, as I(X;Y) = H(pW) − p·h(W), h(x) = H(W(·|x)) and φ(p) =
   H(pW_b) − H(pW_a) — the best scanned p, refined by gradient ascent.
+  An exact face rule adds the edges from a unit pmf e_i along which the
+  excess rises like t·log2(1/t), often closer in than the scan reaches.
 * less noisy: I(U;Y_a) >= I(U;Y_b) for all p(u,x), which holds iff φ is
   convex (van Dijk, IEEE Trans. IT 43(2), 1997) — a scan of input pmfs for
   negative curvature of φ.  Such a direction v at p gives the binary-U
@@ -18,6 +20,7 @@ whether receiver `a` dominates receiver `b` in the respective sense.
 
 Both searches scan the same input pmfs (`_scan_points`): the uniform pmf,
 a simplex grid for nx <= GRID_CAP and 16·restarts seeded Dirichlet draws.
+Their kernel, `_entropy`, adds q·log2 q over the outputs in order.
 Their verdicts are certified only up to search effort (reports carry the
 restart count and grid resolution), with asymmetric tolerances against
 flaky boundary verdicts: pass at <= 1e-7, fail above 1e-6, else neither.
@@ -50,6 +53,8 @@ _CHUNK = 64
 _STEPS = 32
 # projected-gradient iterations of the more-capable refinement
 _ASCENT_ITERS = 200
+# steps t = 10^(−k/4), k = 1..48, away from a vertex along a face-rule edge
+_FACE_STEPS = 10.0 ** (-np.arange(1, 49) / 4)
 
 
 @dataclass(frozen=True)
@@ -106,13 +111,24 @@ def _check_args(a: int, b: int, restarts: int = 0) -> None:
 def _log2(q: np.ndarray) -> np.ndarray:
     """log2 q, with q = 0 read as 1e-300: 0 log 0 = 0 in an entropy, and a
     finite stand-in for the gradient's −∞ where p first reaches an output."""
-    return np.log2(q, out=np.full_like(q, np.log2(1e-300)), where=q > 0)
+    return np.log2(np.where(q > 0, q, 1e-300))
 
 
 def _entropy(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """H(pW) in bits at each input pmf of a stack p (..., nx)."""
+    """H(pW) in bits at each input pmf of a stack p (..., nx).
+
+    The terms q·log2 q are summed over the outputs in order, one column at
+    a time, which costs far less than `.sum(axis=-1)` on a 2–3 wide axis.
+    It is bitwise equal to that sum for fewer than 8 outputs: numpy adds a
+    short axis in order, from its identity 0.0 (hence the `+ 0.0`, which
+    only turns a −0.0 into 0.0), and sums 8 or more pairwise.
+    """
     q = (p.reshape(-1, w.shape[0]) @ w).reshape(*p.shape[:-1], w.shape[1])
-    return -(q * _log2(q)).sum(axis=-1)
+    t = q * _log2(q)
+    s = t[..., 0] + 0.0
+    for j in range(1, t.shape[-1]):
+        s += t[..., j]
+    return -s
 
 
 def _phi(p: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -167,10 +183,11 @@ def _ascend(objective: Callable[[np.ndarray], float],
 
 def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
     """All pmfs with entries k/resolution, one per row, lexicographic."""
-    comps = [c + (resolution - sum(c),)
-             for c in itertools.product(range(resolution + 1), repeat=dim - 1)
-             if sum(c) <= resolution]
-    return np.array(comps, dtype=float) / resolution
+    # with dim = 1 there are no free coordinates and one row, [1.0]
+    head = np.indices((resolution + 1,) * (dim - 1)).reshape(
+        dim - 1, (resolution + 1) ** (dim - 1)).T
+    head = head[head.sum(axis=1) <= resolution]
+    return np.column_stack([head, resolution - head.sum(axis=1)]) / resolution
 
 
 def _scan_points(nx: int, restarts: int, seed: int
@@ -189,6 +206,20 @@ def _scan_points(nx: int, restarts: int, seed: int
              for k in range(0, 16 * restarts, _CHUNK))
     return resolution, itertools.chain(
         (fixed[k:k + _CHUNK] for k in range(0, len(fixed), _CHUNK)), draws)
+
+
+def _face_edges(wa: np.ndarray, wb: np.ndarray) -> Iterator[np.ndarray]:
+    """Input pmfs (1 − t)·e_i + t·e_j, t in _FACE_STEPS, on each edge (i, j)
+    where the face rule finds that I(X;Y_b) − I(X;Y_a) rises from 0 at e_i.
+
+    Along that edge I(X;Y_k) = S_k·t·log2(1/t) + O(t), where S_k sums
+    W_k[j, y] over the outputs y with W_k[i, y] = 0.  So S_b > S_a makes the
+    excess positive near e_i, closer in than the grid and the draws reach.
+    """
+    s_a, s_b = ((w == 0) @ w.T for w in (wa, wb))
+    eye = np.eye(len(wa))
+    for i, j in zip(*np.nonzero(s_b > s_a)):
+        yield np.outer(1 - _FACE_STEPS, eye[i]) + np.outer(_FACE_STEPS, eye[j])
 
 
 def is_degraded(ch: Channel3, a: int, b: int) -> OrderingReport:
@@ -253,8 +284,9 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
     """Is receiver a more capable than b: I(X;Y_a) >= I(X;Y_b) for all p(x)?
 
     Scores φ(p) − p·Δh, Δh = h_b − h_a = φ at the unit pmfs, on every
-    `_scan_points` input pmf, then refines the best one by projected
-    gradient ascent; the gap is the ascent's value, its input pmf the witness.
+    `_scan_points` input pmf and every `_face_edges` point, then refines the
+    best one by projected gradient ascent; the gap is the ascent's value,
+    its input pmf the witness.
     """
     _check_args(a, b, restarts)
     if a == b:
@@ -264,7 +296,7 @@ def is_more_capable(ch: Channel3, a: int, b: int, restarts: int = 32,
     dh = _phi(np.eye(ch.nx), wa, wb)
     used_resolution, points = _scan_points(ch.nx, restarts, seed)
     start, start_val = None, -np.inf
-    for p in points:
+    for p in itertools.chain(points, _face_edges(wa, wb)):
         values = _excess(p, wa, wb, dh)
         if values.max() > start_val:
             start, start_val = p[np.argmax(values)], values.max()
@@ -322,8 +354,11 @@ def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
         # c± = p(x|u) for u = 0, 1 at every step: (m, S, 2, nx)
         cond = np.maximum(p[:, None, None]
                           + delta * np.stack([v, -v], axis=1)[:, None], 0.0)
-        score = (_phi(cond.mean(axis=2), wa, wb)
-                 - _phi(cond, wa, wb).mean(axis=2))
+        # the means over u written out, bitwise what `.mean(axis=2)`
+        # gives at a fraction of its cost
+        phi = _phi(cond, wa, wb)
+        score = (_phi((cond[:, :, 0] + cond[:, :, 1]) / 2, wa, wb)
+                 - (phi[:, :, 0] + phi[:, :, 1]) / 2)
         best = np.unravel_index(np.argmax(score), score.shape)
         if score[best] > gap:
             gap, witness = float(score[best]), 0.5 * cond[best]

@@ -220,6 +220,37 @@ class TestExitCodes:
         assert out["result"]["verdict"] == "true"
 
 
+def test_cached_parser_gives_the_outputs_of_a_fresh_one(ch_file, tmp_path,
+                                                       capsys):
+    # the parser is built once per process and reused by every command:
+    # each command prints and writes the same bytes as on a new parser
+    commands = [
+        ["orderings", "--pair", "1,3"],
+        ["--version"],
+        ["orderings", "--channel", ch_file, "--pair", "3,1", "--predicate",
+         "implication", "--restarts", "2", "--seed", "0", "--out",
+         "{out}/ord.json"],
+        ["fme", "appendix", "--out", "{out}/appendix.json"],
+    ]
+
+    def run(argv, out):
+        out.mkdir()
+        rc = dispatch([a.replace("{out}", str(out)) for a in argv])
+        std = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())
+                 if not f.name.endswith(".manifest.json")}
+        return rc, std.out, std.err, files
+
+    cached = [run(argv, tmp_path / f"cached{k}")
+              for k, argv in enumerate(commands)]
+    assert cli.build_parser() is cli.build_parser()
+    assert [r[0] for r in cached] == [2, 0, 0, 0]
+    assert cached[1][1] and cached[2][3] and cached[3][3]
+    for k, argv in enumerate(commands):
+        cli.build_parser.cache_clear()
+        assert run(argv, tmp_path / f"fresh{k}") == cached[k]
+
+
 class TestChannelParsing:
     def test_key_order_irrelevant(self, tmp_path):
         d = cascade_channel(0.1, 0.1, 0.1).to_dict()

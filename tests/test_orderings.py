@@ -1,14 +1,19 @@
 """Receiver ordering predicates and the implication chain."""
 
+import contextlib
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from bcsl import orderings
 from bcsl.channel_core import Channel3, JointPmf, conditional_mi
 from bcsl.errors import UsageError
-from bcsl.orderings import (_curvature, _excess, _excess_gradient, _phi,
-                            _simplex_grid, implication_check, is_degraded,
-                            is_less_noisy, is_more_capable)
+from bcsl.orderings import (FAIL_TOL, _curvature, _excess, _excess_gradient,
+                            _phi, _simplex_grid, implication_check,
+                            is_degraded, is_less_noisy, is_more_capable)
 
 from conftest import (bsc, cascade_channel, check_benchmark_key,
                       product_channel, random_channel)
@@ -106,6 +111,29 @@ class TestMoreCapable:
         for restarts in (0, 2, 8):
             rep = is_more_capable(ch, 3, 1, restarts=restarts, seed=0)
             assert rep.gap == pytest.approx(1.0, abs=1e-9)
+
+    def test_face_rule_finds_excess_next_to_a_vertex(self, monkeypatch):
+        # I(X;Y_2) − I(X;Y_1) is positive only within about 1e-3 of e_2
+        # toward e_1: W_2[2, 2] = 0 < W_2[1, 2], while W_1[2] has no zero
+        # entry, so it rises there like t·log2(1/t).  The grid and the
+        # draws miss it, and the face rule's edge search finds it
+        w1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.871, 0.129]])
+        w2 = np.array([[0.153, 0.847, 0.0], [0.844, 0.0, 0.156],
+                       [0.314, 0.686, 0.0]])
+        w3 = np.array([[0.393, 0.035, 0.572], [0.0, 1.0, 0.0],
+                       [0.249, 0.0, 0.751]])
+        ch = product_channel(w1, w2, w3)
+        rep = is_more_capable(ch, 1, 2, seed=0)
+        assert rep.verdict is False and rep.gap > FAIL_TOL
+
+        def mi(w):
+            j = JointPmf(("X", "Y"), rep.witness[:, None] * w)
+            return conditional_mi(j, ["X"], ["Y"], [])
+
+        assert rep.gap == pytest.approx(
+            mi(ch.marginal_to(2)) - mi(ch.marginal_to(1)), abs=1e-12)
+        monkeypatch.setattr(orderings, "_face_edges", lambda wa, wb: [])
+        assert is_more_capable(ch, 1, 2, seed=0).verdict is True
 
 
 class TestLessNoisy:
@@ -215,6 +243,137 @@ def test_phi_derivatives_match_differences(nx, nya, nyb, seed):
         assert u @ hess @ u == pytest.approx(
             -(phi(1e-4) - 2 * phi(0.0) + phi(-1e-4)) / 1e-8,
             rel=1e-4, abs=1e-5)
+
+
+# The ordering searches' kernel before it summed the outputs column by
+# column: the reference that the bitwise tests below hold the kernel to.
+
+def _log2_reference(q):
+    return np.log2(q, out=np.full_like(q, np.log2(1e-300)), where=q > 0)
+
+
+def _entropy_reference(p, w):
+    q = (p.reshape(-1, w.shape[0]) @ w).reshape(*p.shape[:-1], w.shape[1])
+    return -(q * _log2_reference(q)).sum(axis=-1)
+
+
+@contextlib.contextmanager
+def _reference_kernel():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orderings, "_log2", _log2_reference)
+        mp.setattr(orderings, "_entropy", _entropy_reference)
+        yield
+
+
+def _is_less_noisy_reference(ch, a, b, restarts, seed):
+    """`is_less_noisy` with its line search's two `.mean(axis=2)` calls."""
+    nx = ch.nx
+    gap, witness = 0.0, np.full((2, nx), 1.0 / (2 * nx))
+    if a == b or nx == 1:
+        return orderings.OrderingReport("less_noisy", (a, b), True, gap,
+                                        witness, ch.sha256)
+    wa, wb = (w[:, w.any(axis=0)]
+              for w in (ch.marginal_to(a), ch.marginal_to(b)))
+    used_resolution, points = orderings._scan_points(nx, restarts, seed)
+    basis = np.linalg.qr(np.eye(nx)[:, :-1] - 1.0 / nx)[0]
+    steps = np.arange(1, orderings._STEPS + 1) / orderings._STEPS
+    scanned = 0
+    for p in points:
+        p = p[(p > 0).all(axis=1)]
+        scanned += len(p)
+        hess = (_curvature(p, wb) - _curvature(p, wa)) / orderings._LOG2
+        lam, vec = np.linalg.eigh(basis.T @ hess @ basis)
+        pos = lam[:, -1] > 0
+        if not pos.any():
+            continue
+        p = p[pos]
+        v = vec[pos, :, -1] @ basis.T
+        reach = np.divide(p, np.abs(v), out=np.full_like(p, np.inf),
+                          where=v != 0).min(axis=1)
+        delta = (reach[:, None] * steps)[..., None, None]
+        cond = np.maximum(p[:, None, None]
+                          + delta * np.stack([v, -v], axis=1)[:, None], 0.0)
+        score = (orderings._phi(cond.mean(axis=2), wa, wb)
+                 - orderings._phi(cond, wa, wb).mean(axis=2))
+        best = np.unravel_index(np.argmax(score), score.shape)
+        if score[best] > gap:
+            gap, witness = float(score[best]), 0.5 * cond[best]
+    return orderings.OrderingReport(
+        "less_noisy", (a, b), orderings._band_verdict(gap), gap, witness,
+        ch.sha256, restarts=restarts, grid_resolution=used_resolution,
+        note="numerically certified only up to search effort; concavity "
+             f"scan of {scanned} input pmfs, |U|=2")
+
+
+def _sparse_stochastic(rng, rows, cols):
+    """Rows with zero entries, and about one output in four that no row
+    reaches."""
+    w = rng.dirichlet(np.ones(cols), size=rows)
+    w[rng.random(w.shape) < 0.35] = 0.0
+    w[:, rng.random(cols) < 0.25] = 0.0
+    for r in w:
+        if not r.any():
+            r[rng.integers(cols)] = 1.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _both_searches(ch, a, b, restarts, seed):
+    """(less noisy, more capable) reports of the kernel and of the
+    reference, as JSON text: equal text means bitwise-equal floats."""
+    def text(*reports):
+        return [json.dumps(r.to_dict()) for r in reports]
+
+    new = text(is_less_noisy(ch, a, b, restarts=restarts, seed=seed),
+               is_more_capable(ch, a, b, restarts=restarts, seed=seed))
+    with _reference_kernel():
+        ref = text(_is_less_noisy_reference(ch, a, b, restarts, seed),
+                   is_more_capable(ch, a, b, restarts=restarts, seed=seed))
+    return new, ref
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(nx=st.integers(1, 4), ny=st.tuples(*[st.integers(1, 7)] * 2),
+       restarts=st.integers(0, 3), sparse=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(nx=3, ny=(3, 7), restarts=0, sparse=True, seed=0)
+def test_kernel_reports_equal_the_reference_bitwise(nx, ny, restarts, sparse,
+                                                    seed):
+    # every gap, witness, verdict and note of both searches, with fewer
+    # than 8 outputs per receiver, on dense rows and on rows with zeros
+    rng = np.random.default_rng(seed)
+    draw = _sparse_stochastic if sparse else _stochastic
+    ch = product_channel(draw(rng, nx, ny[0]), draw(rng, nx, 2),
+                         draw(rng, nx, ny[1]))
+    new, ref = _both_searches(ch, 1, 3, restarts, seed % 997)
+    assert new == ref
+    new, ref = _both_searches(ch, 3, 1, restarts, seed % 997)
+    assert new == ref
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_on_wide_alphabets_matches_reference_to_last_bits(seed):
+    # with 8 or more outputs numpy sums pairwise and the kernel in order
+    rng = np.random.default_rng(seed)
+    nx = 2 + seed % 2
+    ch = product_channel(_stochastic(rng, nx, 8), _stochastic(rng, nx, 2),
+                         _sparse_stochastic(rng, nx, 9))
+    for a, b in ((1, 3), (3, 1)):
+        new, ref = _both_searches(ch, a, b, 1, seed)
+        for n, r in zip(map(json.loads, new), map(json.loads, ref)):
+            assert n["verdict"] == r["verdict"]
+            assert abs(n["gap_bits"] - r["gap_bits"]) <= 1e-12
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 7, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_simplex_grid_rows_in_lexicographic_order(dim, resolution):
+    comps = [c + (resolution - sum(c),)
+             for c in itertools.product(range(resolution + 1), repeat=dim - 1)
+             if sum(c) <= resolution]
+    want = np.array(comps, dtype=float) / resolution
+    got = _simplex_grid(dim, resolution)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("key", range(16))
