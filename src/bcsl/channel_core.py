@@ -110,24 +110,26 @@ def mutual_information(j: JointPmf, group_a: Sequence[str],
     return conditional_mi(j, group_a, group_b, ())
 
 
-def conditional_mi(j: JointPmf, group_a: Sequence[str], group_b: Sequence[str],
-                   group_c: Sequence[str]) -> float:
-    """I(A;B|C) in bits; C may be empty (plain mutual information)."""
+def mi_entropy_groups(group_a: Sequence[str], group_b: Sequence[str],
+                      group_c: Sequence[str]) -> list[tuple[list[str], int]]:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) as signed axis groups,
+    in that order; an empty C has no H(C) group, so H() = 0 exactly (the
+    empty marginal's tensor sum need not be exactly 1)."""
     a, b, c = list(group_a), list(group_b), list(group_c)
     if not a or not b:
         raise UsageError("conditional_mi: empty A or B group")
-    groups = [set(a), set(b), set(c)]
-    for i in range(3):
-        for k in range(i + 1, 3):
-            if groups[i] & groups[k]:
-                raise UsageError("conditional_mi: axis sets overlap")
-    # I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), with H() = 0 exactly:
-    # the empty marginal's tensor sum need not be exactly 1
-    hac = j.group_entropy(a + c)
-    hbc = j.group_entropy(b + c)
-    habc = j.group_entropy(a + b + c)
-    hc = j.group_entropy(c) if c else 0.0
-    return _clamp(hac + hbc - habc - hc, "conditional mutual information")
+    if len({*a, *b, *c}) < len(a) + len(b) + len(c):
+        raise UsageError("conditional_mi: axis sets overlap")
+    return [(a + c, 1), (b + c, 1), (a + b + c, -1)] + ([(c, -1)] if c else [])
+
+
+def conditional_mi(j: JointPmf, group_a: Sequence[str], group_b: Sequence[str],
+                   group_c: Sequence[str]) -> float:
+    """I(A;B|C) in bits; C may be empty (plain mutual information)."""
+    h = 0.0
+    for group, sign in mi_entropy_groups(group_a, group_b, group_c):
+        h += sign * j.group_entropy(group)
+    return _clamp(h, "conditional mutual information")
 
 
 @dataclass(frozen=True)

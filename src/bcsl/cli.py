@@ -26,15 +26,14 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .channel_core import AuxJoint, Channel3
 from .errors import BcslError, UsageError, ValidationError
 from .fme import (appendix_reduction, derive_inner_bound, derive_type1_bound)
 from .orderings import (OrderingReport, implication_check, is_degraded,
                         is_less_noisy, is_more_capable)
-from .regions import BoundId, SearchConfig, eval_bound, max_weighted_rate
+from .regions import (RATE_SYMBOLS, BoundId, SearchConfig, eval_bound,
+                      max_weighted_rate)
 from .codec_sim import (CodeConfig, build_codebook, check_enum_cap,
                         enumeration_counts, exact_equivocation,
                         secrecy_gap_study, simulate)
@@ -97,28 +96,15 @@ def parse_aux(path: str) -> AuxJoint:
     return _load(path, "aux", AuxJoint.from_dict)
 
 
-def _report_from_dict(d: dict) -> OrderingReport:
-    verdicts = {"true": True, "false": False, "indeterminate": None}
-    digest = d["channel_sha256"]
-    if not isinstance(digest, str):
-        raise TypeError("channel_sha256 must be a string")
-    return OrderingReport(
-        predicate=d["predicate"], pair=tuple(int(v) for v in d["pair"]),
-        verdict=verdicts[d["verdict"]], gap=float(d["gap_bits"]),
-        witness=np.asarray(d["witness"]) if d.get("witness") is not None
-        else None,
-        channel_sha256=digest,
-        restarts=d.get("restarts", 0),
-        grid_resolution=d.get("grid_resolution", 0),
-        note=d.get("note", ""))
-
-
 def load_ordering_report(path: str) -> OrderingReport:
-    return _load(path, "ordering report", _report_from_dict)
+    return _load(path, "ordering report", OrderingReport.from_dict)
 
 
-def _json_dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_dump(obj: dict, fh) -> None:
+    """Write obj to fh as indented, key-sorted JSON and a newline, chunk by
+    chunk: `json.dumps` would list every chunk before joining them."""
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 class _Emitter:
@@ -136,34 +122,37 @@ class _Emitter:
             seed=getattr(args, "seed", None),
             started=_now())
 
-    def write(self, path: str, text: str) -> None:
-        """Write one output file.  An unwritable path is a domain error,
-        and every file this run has opened is removed with it."""
+    def write(self, path: str, content: str | dict) -> None:
+        """Write one output file, text as it is and a dict as JSON.  An
+        unwritable path is a domain error, and every file this run has
+        opened is removed with it."""
         try:
             with open(path, "w") as fh:
                 self.written.append(path)
-                fh.write(text)
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    _json_dump(content, fh)
         except OSError as e:
             for p in self.written:
                 with contextlib.suppress(OSError):
                     os.remove(p)
             raise ValidationError(f"output file {path}: {e.strerror}") from e
 
-    def _to_out(self, text: str) -> bool:
+    def _to_out(self, content: str | dict) -> bool:
         """Write the primary output to --out and the manifest beside it;
         False when there is no --out."""
         self.manifest.finished = _now()
         if not self.out:
             return False
-        self.write(self.out, text)
-        self.write(self.out + ".manifest.json",
-                   _json_dump(self.manifest.to_dict()))
+        self.write(self.out, content)
+        self.write(self.out + ".manifest.json", self.manifest.to_dict())
         return True
 
     def emit_json(self, payload: dict) -> None:
-        if not self._to_out(_json_dump(payload)):
-            print(_json_dump({"result": payload,
-                              "manifest": self.manifest.to_dict()}), end="")
+        if not self._to_out(payload):
+            _json_dump({"result": payload,
+                        "manifest": self.manifest.to_dict()}, sys.stdout)
 
     def emit_csv(self, header: list[str], rows: list[list]) -> None:
         buf = io.StringIO()
@@ -172,7 +161,7 @@ class _Emitter:
         w.writerows(rows)
         if not self._to_out(buf.getvalue()):
             sys.stdout.write(buf.getvalue())
-            sys.stderr.write(_json_dump(self.manifest.to_dict()))
+            _json_dump(self.manifest.to_dict(), sys.stderr)
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -188,8 +177,9 @@ def _weights(text: str) -> list[float]:
         w = [float(t) for t in text.split(",")]
     except Exception as e:
         raise UsageError(f"--weights expects comma floats, got {text!r}") from e
-    if len(w) != 5:
-        raise UsageError("--weights needs exactly 5 values (R0,R1,R1e,R2,R2e)")
+    if len(w) != len(RATE_SYMBOLS):
+        raise UsageError(f"--weights needs exactly {len(RATE_SYMBOLS)} values "
+                         f"({','.join(RATE_SYMBOLS)})")
     return w
 
 
@@ -242,13 +232,11 @@ def cmd_regions_frontier(args) -> int:
     r = rate.as_dict()
     # the sidecar goes first, so a failed write prints no primary output
     sidecar = args.aux_out or ((args.out or "frontier") + ".aux.json")
-    em.write(sidecar, _json_dump(aux.to_dict()))
+    em.write(sidecar, aux.to_dict())
     em.emit_csv(
-        ["w_r0", "w_r1", "w_r1e", "w_r2", "w_r2e",
-         "R0", "R1", "R1e", "R2", "R2e", "value"],
+        [*(f"w_{s.lower()}" for s in RATE_SYMBOLS), *RATE_SYMBOLS, "value"],
         [[*(repr(float(x)) for x in w),
-          *(repr(float(r[s])) for s in ("R0", "R1", "R1e", "R2", "R2e")),
-          repr(float(value))]])
+          *(repr(float(r[s])) for s in RATE_SYMBOLS), repr(float(value))]])
     return 0
 
 

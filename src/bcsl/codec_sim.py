@@ -29,6 +29,7 @@ from .channel_core import (AuxJoint, Channel3, _clamp, conditional_mi,
                            induced_joint)
 from .errors import (CapabilityError, ConfigError, EncodingError,
                      GenerationError, UsageError, ValidationError)
+from .fme import is_constant_symbol, load_fixture, parse_mi_name
 
 RATE_TOL = 1e-9
 DEFAULT_RETRY_CAP = 2000
@@ -107,24 +108,22 @@ class CodeConfig:
         return s
 
     def validate_against(self, aux: AuxJoint) -> None:
-        """Check the bin-pairing feasibility conditions against the
-        auxiliary's pairing penalty I(U2;U3|U1)."""
-        j = conditional_mi(aux.joint_pmf(), ("U2",), ("U3",), ("U1",))
-        checks = [
-            ("r1e + r1p + r1dag <= q2",
-             self.r1e + self.r1p + self.r1dag, self.q2),
-            ("p3 + p3dag <= q3", self.p3 + self.p3dag, self.q3),
-            # strict pairing headroom relaxed to its closure so zero-rate
-            # configurations (where the penalty is 0) remain valid
-            ("r1dag + p3dag >= I(U2;U3|U1)", j, self.r1dag + self.p3dag),
-            ("r1e + r1p + p3 <= q2 + q3 - I(U2;U3|U1)",
-             self.r1e + self.r1p + self.p3, self.q2 + self.q3 - j),
-        ]
-        for tag, lhs, rhs in checks:
-            if lhs > rhs + RATE_TOL:
-                raise ConfigError(
-                    f"bin-pairing condition violated: {tag} "
-                    f"({lhs:.6f} > {rhs:.6f})")
+        """Check the bin-pairing rows of the inner scheme's raw system, whose
+        rate symbols are these rate fields upper-cased, at the auxiliary's
+        information constants; the error names every row broken."""
+        system = load_fixture("inner_bin_pairing.txt")
+        j = aux.joint_pmf()
+        value = {s: conditional_mi(j, *parse_mi_name(s))
+                 if is_constant_symbol(s) else getattr(self, s.lower())
+                 for s in system.symbols()}
+        broken = []
+        for row in system.rows:
+            lhs = sum(float(c) * value[s] for s, c in row.coeffs)
+            if lhs > row.rhs + RATE_TOL:
+                broken.append(f"{row} ({lhs:.6f} > {float(row.rhs):.6f})")
+        if broken:
+            raise ConfigError(
+                "bin-pairing condition violated: " + "; ".join(broken))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -19,7 +19,7 @@ from .farkas import (
     check_equivalence,
     remove_redundant,
 )
-from .system import Ineq, IneqSystem, is_constant_symbol
+from .system import Ineq, IneqSystem, is_constant_symbol, parse_mi_name
 
 __all__ = [
     "APPENDIX_MERGE",
@@ -39,5 +39,6 @@ __all__ = [
     "is_constant_symbol",
     "load_fixture",
     "load_identities",
+    "parse_mi_name",
     "remove_redundant",
 ]

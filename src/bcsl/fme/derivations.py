@@ -9,6 +9,7 @@ equivalence against the target fixture.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Sequence
@@ -39,6 +40,7 @@ APPENDIX_MERGE: dict[str, str | None] = {
 }
 
 
+@functools.cache
 def load_fixture(name: str) -> IneqSystem:
     text = resources.files(__package__).joinpath("fixtures", name).read_text()
     return IneqSystem.parse(text)

@@ -28,6 +28,21 @@ def is_constant_symbol(name: str) -> bool:
     return name.startswith("I(")
 
 
+def parse_mi_name(name: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """Split "I(A;B|C)" into variable groups (A, B, C)."""
+    if not (is_constant_symbol(name) and name.endswith(")")):
+        raise UsageError(f"not an information constant: {name!r}")
+    body = name[2:-1]
+    if "|" in body:
+        main, cond = body.split("|", 1)
+        cvars = tuple(v.strip() for v in cond.split(","))
+    else:
+        main, cvars = body, ()
+    a, b = main.split(";")
+    return (tuple(v.strip() for v in a.split(",")),
+            tuple(v.strip() for v in b.split(",")), cvars)
+
+
 @dataclass(frozen=True)
 class Ineq:
     """One row: coeffs . symbols <= rhs."""

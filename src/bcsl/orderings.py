@@ -16,7 +16,9 @@ whether receiver `a` dominates receiver `b` in the respective sense.
   convex (van Dijk, IEEE Trans. IT 43(2), 1997) — a scan of input pmfs for
   negative curvature of φ.  Such a direction v at p gives the binary-U
   witness p(x|u) = c± = p ± δv, and its gap I(U;Y_b) − I(U;Y_a) is the
-  midpoint defect φ(p̄) − ½[φ(c₊) + φ(c₋)], p̄ the mean of c±.
+  midpoint defect φ(p̄) − ½[φ(c₊) + φ(c₋)], p̄ the mean of c±.  Near the
+  unit pmfs where the face rule finds a vanishing output, it adds
+  log-spaced points closer in than the grid (`_face_corners`).
 
 Both searches scan the same input pmfs (`_scan_points`): the uniform pmf,
 a simplex grid for nx <= GRID_CAP and 16·restarts seeded Dirichlet draws.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from scipy.optimize import linprog
@@ -55,6 +57,11 @@ _STEPS = 32
 _ASCENT_ITERS = 200
 # steps t = 10^(−k/4), k = 1..48, away from a vertex along a face-rule edge
 _FACE_STEPS = 10.0 ** (-np.arange(1, 49) / 4)
+# masses t = 10^(−k/4), k = 1..24, toward the other inputs, of the
+# less-noisy scan's points near a vertex where an output vanishes
+_CORNER_STEPS = _FACE_STEPS[:24]
+# a report's verdict and its JSON spelling
+_STATUS = {True: "true", False: "false", None: "indeterminate"}
 
 
 @dataclass(frozen=True)
@@ -80,17 +87,11 @@ class OrderingReport:
     grid_resolution: int = 0
     note: str = ""
 
-    @property
-    def status(self) -> str:
-        if self.verdict is None:
-            return "indeterminate"
-        return "true" if self.verdict else "false"
-
     def to_dict(self) -> dict:
         return {
             "predicate": self.predicate,
             "pair": list(self.pair),
-            "verdict": self.status,
+            "verdict": _STATUS[self.verdict],
             "gap_bits": self.gap,
             "witness": None if self.witness is None else self.witness.tolist(),
             "channel_sha256": self.channel_sha256,
@@ -98,6 +99,20 @@ class OrderingReport:
             "grid_resolution": self.grid_resolution,
             "note": self.note,
         }
+
+    @staticmethod
+    def from_dict(d: Mapping) -> "OrderingReport":
+        """Inverse of `to_dict`: KeyError, TypeError or ValueError if bad."""
+        if not isinstance(d["channel_sha256"], str):
+            raise TypeError("channel_sha256 must be a string")
+        witness = d.get("witness")
+        return OrderingReport(
+            d["predicate"], tuple(int(v) for v in d["pair"]),
+            {s: v for v, s in _STATUS.items()}[d["verdict"]],
+            float(d["gap_bits"]),
+            None if witness is None else np.asarray(witness),
+            d["channel_sha256"], d.get("restarts", 0),
+            d.get("grid_resolution", 0), d.get("note", ""))
 
 
 def _check_args(a: int, b: int, restarts: int = 0) -> None:
@@ -222,6 +237,29 @@ def _face_edges(wa: np.ndarray, wb: np.ndarray) -> Iterator[np.ndarray]:
         yield np.outer(1 - _FACE_STEPS, eye[i]) + np.outer(_FACE_STEPS, eye[j])
 
 
+def _face_corners(wa: np.ndarray, wb: np.ndarray) -> Iterator[np.ndarray]:
+    """Input pmfs near each unit pmf e_i at which an output of W_a or W_b
+    vanishes that another input reaches, in stacks of at most _CHUNK rows:
+    e_i moved by masses t in _CORNER_STEPS toward each other e_j, for
+    nx <= GRID_CAP.
+
+    These are the vertices where the face rule's S_a or S_b has a nonzero
+    row.  Near e_i such an output's probability q is small, and the
+    curvature of its H(pW), which grows like 1/q, can change the sign of
+    φ's curvature closer in than the grid reaches.
+    """
+    nx = len(wa)
+    if nx > GRID_CAP:
+        return
+    t = np.stack(np.meshgrid(*[_CORNER_STEPS] * (nx - 1), indexing="ij"),
+                 axis=-1).reshape(-1, nx - 1)
+    t = t[t.sum(axis=1) < 1]
+    s_a, s_b = ((w == 0) @ w.T for w in (wa, wb))
+    for i in np.flatnonzero((s_a + s_b).any(axis=1)):
+        p = np.insert(t, i, 1 - t.sum(axis=1), axis=1)
+        yield from (p[k:k + _CHUNK] for k in range(0, len(p), _CHUNK))
+
+
 def is_degraded(ch: Channel3, a: int, b: int) -> OrderingReport:
     """Is Y_b a stochastic degradation of Y_a?
 
@@ -318,11 +356,12 @@ def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
                   seed: int = 0) -> OrderingReport:
     """Is receiver a less noisy than b: I(U;Y_a) >= I(U;Y_b) for all p(u,x)?
 
-    Scans the interior `_scan_points` input pmfs p for a positive top
-    eigenvalue of the Hessian of −φ on the simplex's tangent space.  Along
-    each such eigenvector v, a line search over δ up to the simplex boundary
-    scores c± = max(p ± δv, 0) by the midpoint defect of φ; the best score
-    (0 if none is positive) is the gap, p(u) = 1/2, p(x|u) = c± the witness.
+    Scans the interior `_scan_points` and `_face_corners` input pmfs p for
+    a positive top eigenvalue of the Hessian of −φ on the simplex's tangent
+    space.  Along each such eigenvector v, a line search over δ up to the
+    simplex boundary scores c± = max(p ± δv, 0) by the midpoint defect of
+    φ; the best score (0 if none is positive) is the gap, p(u) = 1/2,
+    p(x|u) = c± the witness.
     """
     _check_args(a, b, restarts)
     nx = ch.nx
@@ -338,7 +377,7 @@ def is_less_noisy(ch: Channel3, a: int, b: int, restarts: int = 32,
     basis = np.linalg.qr(np.eye(nx)[:, :-1] - 1.0 / nx)[0]
     steps = np.arange(1, _STEPS + 1) / _STEPS
     scanned = 0
-    for p in points:
+    for p in itertools.chain(points, _face_corners(wa, wb)):
         p = p[(p > 0).all(axis=1)]
         scanned += len(p)
         hess = (_curvature(p, wb) - _curvature(p, wa)) / _LOG2

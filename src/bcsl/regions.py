@@ -26,10 +26,11 @@ from scipy.optimize import linprog
 
 from . import channel_core
 from .channel_core import (HARD_TOL, JOINT_AXES, LP_FEAS_TOL, AuxJoint,
-                           Channel3, JointPmf, conditional_mi, induced_joint)
+                           Channel3, JointPmf, conditional_mi, induced_joint,
+                           mi_entropy_groups)
 from .errors import (CapabilityError, PreconditionError, UsageError,
                      ValidationError)
-from .fme import is_constant_symbol, load_fixture
+from .fme import is_constant_symbol, load_fixture, parse_mi_name
 from .orderings import OrderingReport
 
 MARKOV_TOL = 1e-9
@@ -323,12 +324,10 @@ def _compile(bound: BoundId) -> BoundTemplate:
     a_ub = _a_ub(rates for _, rates, _ in rows)
     sets: dict[tuple[str, ...], int] = {}     # axis set -> entropy column
     entries = []                              # (constant, column, sign)
-    for i, (a, b, c) in enumerate(constants.values()):
-        # conditional_mi: H(A,C) + H(B,C) - H(A,B,C) - H(C), with H() = 0
-        for group, sign in ((a + c, 1), (b + c, 1), (a + b + c, -1), (c, -1)):
-            if group:
-                key = tuple(v for v in JOINT_AXES if v in group)
-                entries.append((i, sets.setdefault(key, len(sets)), sign))
+    for i, groups in enumerate(constants.values()):
+        for group, sign in mi_entropy_groups(*groups):
+            key = tuple(v for v in JOINT_AXES if v in group)
+            entries.append((i, sets.setdefault(key, len(sets)), sign))
     mi_from_h = np.zeros((len(constants), len(sets)))
     for i, j, sign in entries:
         mi_from_h[i, j] += sign
@@ -493,22 +492,7 @@ class _Scorer:
 
 
 # --------------------------------------------------------------------------
-# MI-constant evaluation
-
-
-def parse_mi_name(name: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Split "I(A;B|C)" into variable groups (A, B, C)."""
-    if not (name.startswith("I(") and name.endswith(")")):
-        raise UsageError(f"not an information constant: {name!r}")
-    body = name[2:-1]
-    if "|" in body:
-        main, cond = body.split("|", 1)
-        cvars = tuple(v.strip() for v in cond.split(","))
-    else:
-        main, cvars = body, ()
-    a, b = main.split(";")
-    return (tuple(v.strip() for v in a.split(",")),
-            tuple(v.strip() for v in b.split(",")), cvars)
+# bound evaluation
 
 
 def _require_report(reports: Iterable[OrderingReport] | None, ch: Channel3,

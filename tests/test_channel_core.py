@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from bcsl.channel_core import (Channel3, JointPmf, conditional_mi,
-                               induced_joint, mutual_information,
-                               tensor_entropy)
+from bcsl.channel_core import (Channel3, JointPmf, _clamp, conditional_mi,
+                               induced_joint, mi_entropy_groups,
+                               mutual_information, tensor_entropy)
 from bcsl.errors import UsageError, ValidationError
 from bcsl.regions import AuxJoint, FactorBlocks
 
@@ -94,6 +94,32 @@ class TestMutualInformation:
                    + conditional_mi(j, ["B"], ["D"], ["A"]))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_four_entropy_sum_bitwise(self, rng):
+        # conditional_mi adds the signed groups of mi_entropy_groups in
+        # order: bitwise the written-out H(AC) + H(BC) - H(ABC) - H(C),
+        # signed zeros included; the joints with unit axes and point
+        # masses have zero entropies
+        point = np.zeros((2, 2, 2))
+        point[1, 0, 1] = 1.0
+        joints = [JointPmf(("A", "B", "C"), point)] + [
+            random_joint(rng, shape, ("A", "B", "C"))
+            for shape in [(2, 3, 2), (1, 2, 3), (2, 2, 1), (1, 1, 1)] * 10]
+        for j in joints:
+            h = j.group_entropy
+            cases = [(["C"], h(["A", "C"]) + h(["B", "C"])
+                      - h(["A", "B", "C"]) - h(["C"])),
+                     ([], h(["A"]) + h(["B"]) - h(["A", "B"]))]
+            for c, value in cases:
+                want = _clamp(value, "conditional mutual information")
+                assert repr(conditional_mi(j, ["A"], ["B"], c)) == repr(want)
+
+    def test_entropy_groups_in_identity_order(self):
+        assert mi_entropy_groups(["A"], ["B", "D"], ["C"]) == [
+            (["A", "C"], 1), (["B", "D", "C"], 1),
+            (["A", "B", "D", "C"], -1), (["C"], -1)]
+        assert mi_entropy_groups(("A",), ("B",), ()) == [
+            (["A"], 1), (["B"], 1), (["A", "B"], -1)]
+
     def test_nonnegativity(self, rng):
         for _ in range(20):
             j = random_joint(rng, (2, 2, 2), ("A", "B", "C"))
@@ -114,6 +140,9 @@ class TestMutualInformation:
         j = random_joint(rng, (2, 2), ("A", "B"))
         with pytest.raises(UsageError):
             mutual_information(j, ["A"], ["A"])
+        for a, b, c in [([], ["B"], []), (["A"], ["B"], ["B"])]:
+            with pytest.raises(UsageError):
+                conditional_mi(j, a, b, c)
 
 
 class TestChannel3:

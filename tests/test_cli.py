@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,46 @@ def test_cached_parser_gives_the_outputs_of_a_fresh_one(ch_file, tmp_path,
     for k, argv in enumerate(commands):
         cli.build_parser.cache_clear()
         assert run(argv, tmp_path / f"fresh{k}") == cached[k]
+
+
+def test_manifest_is_encoded_straight_to_its_file(ch_file, tmp_path,
+                                                  monkeypatch, capsys):
+    # a frontier manifest with 20 000 restart scores: `json.dumps` would
+    # list every chunk of its text before joining them, and `_json_dump`
+    # hands each chunk to the file as it comes, with the same bytes
+    peaks = {}
+    dump = cli._json_dump
+
+    def traced(obj, fh):
+        tracemalloc.start()
+        try:
+            dump(obj, fh)
+        finally:
+            peaks[fh.name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_json_dump", traced)
+    out = tmp_path / "f.csv"
+    rc = dispatch(["regions", "frontier", "--bound", "outer_nosecrecy",
+                   "--override", "--channel", ch_file, "--weights",
+                   "1,1,1,1,1", "--seed", "0", "--restarts", "20000",
+                   "--iters", "0", "--m1", "1", "--m2", "2", "--m3", "2",
+                   "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    path = str(out) + ".manifest.json"
+    with open(path) as fh:
+        text = fh.read()
+    manifest = json.loads(text)
+    assert len(manifest["extras"]["search"]["restart_scores"]) == 20_000
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    tracemalloc.start()
+    try:
+        json.dumps(manifest, indent=2, sort_keys=True)
+        joined = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks[path] < joined / 10, (peaks[path], joined)
 
 
 class TestChannelParsing:

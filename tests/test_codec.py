@@ -1,20 +1,25 @@
 """Codebook construction, encoding, decoding, and Monte Carlo simulation."""
 
+import collections
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bcsl import channel_core
+from bcsl import channel_core, codec_sim
+from bcsl.channel_core import conditional_mi
 from bcsl.codec_sim import (CodeConfig, Codebook, batch_typical,
                             build_codebook, decode_all, encode, message_size,
                             simulate, typical, wilson_interval)
 from bcsl.errors import (CapabilityError, ConfigError, EncodingError,
                          GenerationError, UsageError, ValidationError)
+from bcsl.fme import Ineq, is_constant_symbol, load_fixture
+from bcsl.fme.derivations import _raw_system
 from bcsl.regions import AuxJoint
 
 from conftest import (bsc, check_benchmark_key, noiseless_identical_channel,
@@ -56,7 +61,7 @@ class TestCodeConfig:
 
     def test_pairing_condition_named(self, aux):
         cfg = CodeConfig(n=4, r1e=0.5, r1p=0.5, q2=0.5)
-        with pytest.raises(ConfigError, match="r1e \\+ r1p \\+ r1dag"):
+        with pytest.raises(ConfigError, match="pair_u2_capacity"):
             cfg.validate_against(aux)
 
     def test_dict_roundtrip(self):
@@ -64,6 +69,68 @@ class TestCodeConfig:
         assert CodeConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(ValidationError):
             CodeConfig.from_dict({"n": 4, "bogus": 1})
+
+
+def _paired_aux() -> AuxJoint:
+    """U1 constant, X = U2 and U3 a noisy copy of U2, so that the pairing
+    penalty I(U2;U3|U1) is positive and not dyadic."""
+    p = np.zeros((1, 2, 2, 2))
+    p[0, 0, :, 0] = (0.4, 0.1)
+    p[0, 1, :, 1] = (0.15, 0.35)
+    return AuxJoint(1, 2, 2, 2, p)
+
+
+def _pairing_boundary(aux: AuxJoint) -> CodeConfig:
+    """A config on which every pair_ row of the bin-pairing fixture holds
+    with equality, up to rounding."""
+    j = conditional_mi(aux.joint_pmf(), ["U2"], ["U3"], ["U1"])
+    return CodeConfig(n=4, r1e=0.1, r1p=0.2, r1dag=j / 2, p3dag=j - j / 2,
+                      p3=0.15, q2=0.3 + j / 2, q3=0.15 + (j - j / 2))
+
+
+class TestBinPairing:
+    """`validate_against` checks the rows of inner_bin_pairing.txt, the
+    fixture the Theorem 1 derivation projects."""
+
+    _STEP = 1e-6
+
+    def test_rate_fields_are_the_raw_system_rates(self):
+        rates = [s for s in _raw_system("inner").symbols()
+                 if not is_constant_symbol(s)]
+        assert sorted(codec_sim._RATE_FIELDS) == sorted(
+            s.lower() for s in rates)
+
+    def test_boundary_passes(self):
+        aux = _paired_aux()
+        _pairing_boundary(aux).validate_against(aux)
+
+    @pytest.mark.parametrize("tag, field, sign", [
+        ("pair_u2_capacity", "r1dag", 1), ("pair_u3_capacity", "p3dag", 1),
+        ("pair_search_depth", "r1dag", -1)])
+    def test_row_broken_alone_is_named(self, tag, field, sign):
+        aux = _paired_aux()
+        cfg = _pairing_boundary(aux)
+        cfg = replace(cfg, **{field: getattr(cfg, field) + sign * self._STEP})
+        with pytest.raises(ConfigError) as e:
+            cfg.validate_against(aux)
+        assert re.findall(r"pair_\w+", str(e.value)) == [tag]
+
+    def test_product_row_is_named_with_the_rows_it_sums(self):
+        # pair_product is the sum of the other three pair_ rows, so no
+        # config breaks it alone; the error names every row broken
+        rows = {r.tag: r for r in load_fixture("inner_bin_pairing.txt").rows}
+        total = collections.Counter()
+        for tag in ("pair_u2_capacity", "pair_u3_capacity",
+                    "pair_search_depth"):
+            total.update(dict(rows[tag].coeffs))
+        assert Ineq.make(total, 0, "").coeffs == rows["pair_product"].coeffs
+        aux = _paired_aux()
+        cfg = _pairing_boundary(aux)
+        cfg = replace(cfg, r1e=cfg.r1e + self._STEP)
+        with pytest.raises(ConfigError) as e:
+            cfg.validate_against(aux)
+        assert re.findall(r"pair_\w+", str(e.value)) == [
+            "pair_u2_capacity", "pair_product"]
 
 
 class TestTypicality:

@@ -1,6 +1,7 @@
 """Receiver ordering predicates and the implication chain."""
 
 import contextlib
+import dataclasses
 import itertools
 import json
 
@@ -144,6 +145,40 @@ class TestLessNoisy:
     def test_reverse_fails(self, cascade):
         assert is_less_noisy(cascade, 3, 1, seed=0).verdict is False
 
+    @pytest.mark.parametrize("w2, w3", [
+        # the second output, which both receivers' second rows miss
+        ([[0.534, 0.216, 0.25], [0.111, 0.0, 0.889], [0.0, 0.665, 0.335]],
+         [[0.232, 0.107, 0.661], [0.029, 0.0, 0.971],
+          [0.412, 0.136, 0.452]]),
+        # the third output, which only receiver 2's second row misses
+        ([[0.02, 0.932, 0.048], [0.761, 0.239, 0.0], [0.0, 0.0, 1.0]],
+         [[0.513, 0.018, 0.469], [0.066, 0.181, 0.753],
+          [0.591, 0.409, 0.0]])])
+    def test_face_corners_find_a_defect_next_to_a_vertex(self, w2, w3,
+                                                         monkeypatch):
+        # φ = H(pW_3) − H(pW_2) fails to be convex only within about 1e-2
+        # of e_2, where an output that the second input misses has a small
+        # probability.  The grid does not reach in that far, and the points
+        # near e_2 do
+        w1 = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ch = product_channel(w1, np.array(w2), np.array(w3))
+        rep = is_less_noisy(ch, 2, 3, seed=0)
+        assert rep.verdict is False and rep.gap > FAIL_TOL
+
+        def mi(w):
+            j = JointPmf(("U", "X", "Y"), rep.witness[:, :, None] * w[None])
+            return conditional_mi(j, ["U"], ["Y"], [])
+
+        assert rep.gap == pytest.approx(
+            mi(ch.marginal_to(3)) - mi(ch.marginal_to(2)), abs=1e-12)
+        monkeypatch.setattr(orderings, "_face_corners", lambda wa, wb: [])
+        assert is_less_noisy(ch, 2, 3, seed=0).verdict is True
+
+    def test_no_face_corners_without_zero_entries(self, rng):
+        for nx in (2, 3):
+            wa, wb = _stochastic(rng, nx, 3), _stochastic(rng, nx, 2)
+            assert list(orderings._face_corners(wa, wb)) == []
+
 
 def _stochastic(rng, rows, cols):
     return rng.dirichlet(np.ones(cols), size=rows)
@@ -266,7 +301,8 @@ def _reference_kernel():
 
 
 def _is_less_noisy_reference(ch, a, b, restarts, seed):
-    """`is_less_noisy` with its line search's two `.mean(axis=2)` calls."""
+    """`is_less_noisy` with its line search's two `.mean(axis=2)` calls,
+    on the same input pmfs."""
     nx = ch.nx
     gap, witness = 0.0, np.full((2, nx), 1.0 / (2 * nx))
     if a == b or nx == 1:
@@ -278,7 +314,7 @@ def _is_less_noisy_reference(ch, a, b, restarts, seed):
     basis = np.linalg.qr(np.eye(nx)[:, :-1] - 1.0 / nx)[0]
     steps = np.arange(1, orderings._STEPS + 1) / orderings._STEPS
     scanned = 0
-    for p in points:
+    for p in itertools.chain(points, orderings._face_corners(wa, wb)):
         p = p[(p > 0).all(axis=1)]
         scanned += len(p)
         hess = (_curvature(p, wb) - _curvature(p, wa)) / orderings._LOG2
@@ -382,6 +418,22 @@ def test_orderings_agree_with_benchmark_refs(key, tmp_path, capsys):
     # the reference made at the seed commit
     check_benchmark_key("orderings", key, tmp_path)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (3, 1)])
+@pytest.mark.parametrize("predicate",
+                         [is_degraded, is_less_noisy, is_more_capable])
+def test_report_round_trips_through_its_dict(cascade, predicate, pair):
+    rep = predicate(cascade, *pair)
+    for r in (rep, dataclasses.replace(rep, witness=None)):
+        back = orderings.OrderingReport.from_dict(
+            json.loads(json.dumps(r.to_dict())))
+        assert back.to_dict() == r.to_dict()
+        assert back.pair == r.pair and back.verdict is r.verdict
+        if r.witness is None:
+            assert back.witness is None
+        else:
+            assert back.witness.tobytes() == r.witness.tobytes()
 
 
 class TestImplicationChain:

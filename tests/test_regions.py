@@ -12,7 +12,8 @@ from bcsl import channel_core
 from bcsl.channel_core import (JOINT_AXES, Channel3, conditional_mi,
                                induced_joint)
 from bcsl.errors import PreconditionError, UsageError, ValidationError
-from bcsl.fme import IneqSystem, is_constant_symbol, load_fixture
+from bcsl.fme import (IneqSystem, is_constant_symbol, load_fixture,
+                      parse_mi_name)
 from bcsl.orderings import is_less_noisy, is_more_capable
 from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, LP_FEAS_TOL,
                           PERTURB_STEP, RATE_SYMBOLS, PolytopeRow,
@@ -20,8 +21,7 @@ from bcsl.regions import (AuxJoint, BoundId, FactorBlocks, LP_FEAS_TOL,
                           SearchEffort, _FIXTURES, _Scorer, _compile,
                           _dual_vertices, _instantiate, _renorm,
                           _preconditions, check_markov, eval_bound,
-                          eval_cor3_match, max_weighted_rate, parse_mi_name,
-                          polytope_lp)
+                          eval_cor3_match, max_weighted_rate, polytope_lp)
 
 from conftest import (bsc, cascade_channel, check_benchmark_key,
                       identical_y1_y3_channel, ksym,
