@@ -23,7 +23,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -55,7 +55,10 @@ class RunManifest:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as they are: each already holds JSON-ready values,
+        and a deep copy of the frontier's restart scores would cost twice
+        their size."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _now() -> str:

@@ -27,9 +27,10 @@ import numpy as np
 from . import channel_core
 from .channel_core import (AuxJoint, Channel3, _clamp, conditional_mi,
                            induced_joint)
-from .errors import (CapabilityError, ConfigError, EncodingError,
-                     GenerationError, UsageError, ValidationError)
+from .errors import (CapabilityError, ConfigError, GenerationError,
+                     UsageError, ValidationError)
 from .fme import is_constant_symbol, load_fixture, parse_mi_name
+from .streams import stream_draws
 
 RATE_TOL = 1e-9
 DEFAULT_RETRY_CAP = 2000
@@ -55,8 +56,11 @@ def message_size(n: int, rate: float) -> int:
             f"rate {rate} at blocklength {n} needs 2^{n * rate} indices") from e
 
 
-def _finite(v) -> bool:
-    return isinstance(v, numbers.Real) and math.isfinite(v)
+def _number(v, kind=numbers.Real) -> bool:
+    """v is a finite number of `kind`; JSON's true and false are not."""
+    if isinstance(v, bool) or not isinstance(v, kind):
+        return False
+    return isinstance(v, numbers.Integral) or math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -84,16 +88,17 @@ class CodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+        if not (_number(self.n, numbers.Integral) and self.n >= 1):
             raise ValidationError("blocklength must be an integer >= 1")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not (_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValidationError("seed must be a nonnegative integer")
-        if not (_finite(self.eps) and self.eps > 0):
-            raise ValidationError("typicality slack must be positive")
+        if not (_number(self.eps) and self.eps > 0):
+            raise ValidationError("typicality slack must be a positive number")
         for name in _RATE_FIELDS:
             v = getattr(self, name)
-            if not (_finite(v) and v >= 0):
-                raise ValidationError(f"rate {name} is negative or not finite")
+            if not (_number(v) and v >= 0):
+                raise ValidationError(
+                    f"rate {name} must be a finite nonnegative number")
 
     # message/bank sizes ---------------------------------------------------
     @property
@@ -256,12 +261,9 @@ class Codebook:
         m2, m3 = self.aux.m2, self.aux.m3
         return (self.u1[w0] * m2 + self.u2[w0, q2]) * m3 + self.u3[w0, q3]
 
-    def split_w2(self, w2: int) -> tuple[int, int]:
-        """w2 -> (p1, p3) by mixed radix."""
-        s = self.sizes
-        if not 0 <= w2 < s["w2"]:
-            raise UsageError(f"w2 index {w2} out of range {s['w2']}")
-        return w2 // s["p3"], w2 % s["p3"]
+    def split_w2(self, w2):
+        """w2 -> (p1, p3) by mixed radix, the inverse of `join_w2`."""
+        return np.divmod(w2, self.sizes["p3"])
 
     def join_w2(self, p1, p3):
         return p1 * self.sizes["p3"] + p3
@@ -393,23 +395,26 @@ def build_codebook(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, *,
 # encoding
 
 
-def encode(cb: Codebook, w0: int, w1: int, w2: int, *, nonce: int = 0
+def encode(cb: Codebook, msgs: np.ndarray, nonces: np.ndarray
            ) -> np.ndarray:
-    """Stochastic encoder: split w2 into (p1, p3), draw the randomization
-    indices (w1p, p1p) uniformly from a stream keyed by (seed, nonce), and
-    emit the stored codeword."""
+    """Stochastic encoder over a stack of messages: msgs (T, 3) holds one
+    (w0, w1, w2) per row.  Each w2 splits into (p1, p3), row i draws the
+    randomization indices (w1p, p1p) uniformly from the stream keyed by
+    (seed, nonces[i]), and the stored codewords come back as (T, n).  A row
+    whose product bin has no jointly typical satellite pair is -1
+    throughout, as `Codebook.x` stores it."""
     s = cb.sizes
-    if not (0 <= w0 < s["r0"] and 0 <= w1 < s["r1e"]):
+    msgs, nonces = np.asarray(msgs), np.asarray(nonces)
+    if nonces.ndim != 1 or msgs.shape != (len(nonces), 3):
+        raise UsageError("encode takes messages (T, 3) and nonces (T,)")
+    if np.any(msgs < 0) or np.any(msgs >= (s["r0"], s["r1e"], s["w2"])):
         raise UsageError("message index out of range")
+    w0, w1, w2 = msgs.T
     p1, p3 = cb.split_w2(w2)
-    rng = np.random.default_rng([cb.cfg.seed, _STREAM_ENC, nonce])
-    w1p = int(rng.integers(0, s["r1p"]))
-    p1p = int(rng.integers(0, s["p1p"]))
-    if cb.pair[w0, w1, w1p, p3, 0] < 0:
-        raise EncodingError(
-            f"product bin (w0={w0}, w1={w1}, w1p={w1p}, p3={p3}) has no "
-            "jointly typical satellite pair")
-    return cb.x[w0, w1, w1p, p3, p1, p1p].copy()
+    ints, _ = stream_draws((cb.cfg.seed, _STREAM_ENC), nonces,
+                           (s["r1p"], s["p1p"]))
+    w1p, p1p = ints.T
+    return cb.x[w0, w1, w1p, p3, p1, p1p]
 
 
 # --------------------------------------------------------------------------
@@ -559,12 +564,13 @@ def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
              seed: int) -> SimReport:
     """Monte Carlo block-error estimation.
 
-    Per-trial randomness is counter-based on (seed, trial), so the report
-    does not depend on the trial order.  Trials run in blocks of
-    `_trial_block` trials, so memory does not grow with `trials`.  Within a
-    block each trial first draws its messages, its encoding and its
-    channel uniforms from its own streams, one trial at a time; then the
-    channel draws and the decoding of the whole block are array
+    Per-trial randomness is counter-based on (seed, trial): each trial's
+    messages and channel uniforms come from its own stream, and its
+    encoder randomization from its own (cfg.seed, trial) stream, so the
+    report does not depend on the trial order.  Trials run in blocks of
+    `_trial_block` trials, so memory does not grow with `trials`.  A block
+    draws every trial's streams at once (`stream_draws`), encodes them in
+    one `encode` call, and draws and decodes its channel outputs as array
     operations.  The report is the same for every block size.
     """
     if trials < 1:
@@ -578,21 +584,11 @@ def simulate(cfg: CodeConfig, aux: AuxJoint, ch: Channel3, trials: int,
     errors = np.zeros(3, dtype=np.int64)
     failures = 0
     for first in range(0, trials, block):
-        ts = range(first, min(trials, first + block))
-        msgs = np.zeros((len(ts), 3), dtype=np.int64)
-        xs = np.zeros((len(ts), n), dtype=np.int64)
-        u = np.zeros((len(ts), n))
-        sent = np.ones(len(ts), dtype=bool)
-        for i, t in enumerate(ts):
-            rng = np.random.default_rng([seed, _STREAM_TRIAL, t])
-            msgs[i] = w = [int(rng.integers(0, s[k]))
-                           for k in ("r0", "r1e", "w2")]
-            try:
-                xs[i] = encode(cb, *w, nonce=t)
-            except EncodingError:
-                sent[i] = False
-                continue
-            u[i] = rng.random(n)
+        ts = np.arange(first, min(trials, first + block))
+        msgs, u = stream_draws((seed, _STREAM_TRIAL), ts,
+                               (s["r0"], s["r1e"], s["w2"]), n)
+        xs = encode(cb, msgs, ts)
+        sent = xs[:, 0] >= 0
         draws = _draw_rows(u[sent], ch_cdf, xs[sent])
         rx1, rx2, rx3 = decode_all(cb, draws // (ny2 * ny3),
                                    draws // ny3 % ny2, draws % ny3)

@@ -31,9 +31,5 @@ class GenerationError(BcslError):
     """Random codebook generation failed (typicality rejection cap hit)."""
 
 
-class EncodingError(BcslError):
-    """Encoding hit a product bin whose typical-pair search failed."""
-
-
 class CapabilityError(BcslError):
     """The requested computation exceeds a configured exact-method cap."""

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bcsl import cli, codec_sim
 from bcsl.cli import dispatch, parse_channel
 from bcsl.errors import ValidationError
+from bcsl.regions import SearchEffort
 
 from conftest import bsc, cascade_channel, product_channel, random_channel
 
@@ -113,6 +115,23 @@ class TestExitCodes:
                        "--seed", "0"])
         assert rc == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,message", [
+        ("seed", "seed must be a nonnegative integer"),
+        ("r1e", "rate r1e must be a finite nonnegative number"),
+        ("n", "blocklength must be an integer >= 1")])
+    def test_boolean_config_field_is_domain_error(self, field, message,
+                                                  ch_file, aux_file,
+                                                  tmp_path, capsys):
+        # JSON true would otherwise run as 1: seed 1, rate 1.0 or n = 1
+        config = tmp_path / "bool.json"
+        config.write_text(json.dumps({"n": 6, "r1e": 0.1, "q2": 0.2,
+                                      "eps": 0.5, field: True}))
+        rc = dispatch(["sim", "run", "--channel", ch_file, "--aux", aux_file,
+                       "--config", str(config), "--trials", "5",
+                       "--seed", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("predicate",
                              ["less_noisy", "more_capable", "implication"])
@@ -290,6 +309,32 @@ def test_manifest_is_encoded_straight_to_its_file(ch_file, tmp_path,
     finally:
         tracemalloc.stop()
     assert peaks[path] < joined / 10, (peaks[path], joined)
+
+
+def test_manifest_dict_copies_no_restart_scores():
+    # the manifest of a 20 000-restart frontier (--iters 0): its fields
+    # are JSON-ready, so `to_dict` hands them over without the deep copy
+    # `asdict` makes, and the encoded bytes are the same
+    effort = SearchEffort(evaluations=20_000, infeasible=0,
+                          infeasible_restarts=0, dual_vertices=48,
+                          winning_restart=7,
+                          restart_scores=tuple((True, 0.1 + i * 1e-6)
+                                               for i in range(20_000)),
+                          block_restarts=158)
+    manifest = cli.RunManifest(command="regions frontier", parameters={},
+                               input_digests={}, seed=0)
+    manifest.extras["search"] = asdict(effort)
+    peaks = []
+    for to_dict in (asdict, cli.RunManifest.to_dict):
+        tracemalloc.start()
+        try:
+            d = to_dict(manifest)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert json.dumps(d, indent=2, sort_keys=True) == json.dumps(
+            asdict(manifest), indent=2, sort_keys=True)
+    assert peaks[1] < peaks[0] / 100, peaks
 
 
 class TestChannelParsing:

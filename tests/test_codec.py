@@ -13,14 +13,15 @@ import pytest
 
 from bcsl import channel_core, codec_sim
 from bcsl.channel_core import conditional_mi
-from bcsl.codec_sim import (CodeConfig, Codebook, batch_typical,
-                            build_codebook, decode_all, encode, message_size,
-                            simulate, typical, wilson_interval)
-from bcsl.errors import (CapabilityError, ConfigError, EncodingError,
-                         GenerationError, UsageError, ValidationError)
+from bcsl.codec_sim import (_STREAM_ENC, CodeConfig, Codebook,
+                            batch_typical, build_codebook, decode_all, encode,
+                            message_size, simulate, typical, wilson_interval)
+from bcsl.errors import (CapabilityError, ConfigError, GenerationError,
+                         UsageError, ValidationError)
 from bcsl.fme import Ineq, is_constant_symbol, load_fixture
 from bcsl.fme.derivations import _raw_system
 from bcsl.regions import AuxJoint
+from bcsl.streams import stream_draws
 
 from conftest import (bsc, check_benchmark_key, noiseless_identical_channel,
                       perfbench_workloads, product_channel,
@@ -58,6 +59,15 @@ class TestCodeConfig:
     def test_every_rate_field_validated(self, name, value):
         with pytest.raises(ValidationError, match=f"rate {name} "):
             CodeConfig(n=4, **{name: value})
+
+    @pytest.mark.parametrize("name", ["n", "seed", "eps", "r0", "r1e", "r1p",
+                                      "r1dag", "q2", "q3", "p3", "p3dag",
+                                      "p1e", "p1p"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_not_numbers(self, name, value):
+        # JSON's true and false load as Python bools, which are ints
+        with pytest.raises(ValidationError):
+            CodeConfig.from_dict({"n": 4, name: value})
 
     def test_pairing_condition_named(self, aux):
         cfg = CodeConfig(n=4, r1e=0.5, r1p=0.5, q2=0.5)
@@ -191,16 +201,18 @@ def layered_aux() -> AuxJoint:
     return AuxJoint.from_dict(perfbench_workloads().layered_aux(0.1))
 
 
+@pytest.fixture(scope="module")
+def layered():
+    """A codebook of every layer, some of whose product bins are unpaired."""
+    m = np.array([[0.9, 0.0, 0.1], [0.0, 0.9, 0.1]])
+    cfg = CodeConfig(n=8, r0=0.1, r1e=0.1, r1p=0.1, r1dag=0.1, q2=0.4,
+                     q3=0.3, p3=0.1, p3dag=0.1, p1e=0.1, p1p=0.1,
+                     eps=1.5, seed=2)
+    return build_codebook(cfg, layered_aux(), product_channel(m, m, m))
+
+
 class TestProductBinOrder:
     """The vectorized walks against plain loops over the product bins."""
-
-    @pytest.fixture(scope="class")
-    def layered(self):
-        m = np.array([[0.9, 0.0, 0.1], [0.0, 0.9, 0.1]])
-        cfg = CodeConfig(n=8, r0=0.1, r1e=0.1, r1p=0.1, r1dag=0.1, q2=0.4,
-                         q3=0.3, p3=0.1, p3dag=0.1, p1e=0.1, p1p=0.1,
-                         eps=1.5, seed=2)
-        return build_codebook(cfg, layered_aux(), product_channel(m, m, m))
 
     def test_sizes_and_unpaired_bins(self, layered):
         cb = layered
@@ -252,35 +264,57 @@ def cb(aux, bsc_third):
 class TestEncode:
 
     def test_deterministic_per_nonce(self, cb):
-        a = encode(cb, 0, 0, 0, nonce=5)
-        b = encode(cb, 0, 0, 0, nonce=5)
-        assert np.array_equal(a, b)
+        # a row's codeword depends on its message and nonce only
+        msgs = np.zeros((3, 3), dtype=np.int64)
+        a = encode(cb, msgs, np.array([5, 9, 5]))
+        assert np.array_equal(a[0], a[2])
+        assert np.array_equal(encode(cb, msgs[:1], np.array([5])), a[:1])
+        assert np.array_equal(encode(cb, msgs, np.array([5, 9, 5])), a)
 
-    def test_out_of_range(self, cb):
+    @pytest.mark.parametrize("msg", [(9, 0, 0), (0, 9, 0), (0, 0, 9),
+                                     (-1, 0, 0)])
+    def test_out_of_range(self, cb, msg):
         with pytest.raises(UsageError):
-            encode(cb, 9, 0, 0)
+            encode(cb, np.array([msg]), np.array([0]))
+
+    def test_one_nonce_per_message(self, cb):
+        with pytest.raises(UsageError):
+            encode(cb, np.zeros((2, 3), dtype=np.int64), np.array([0]))
 
     def test_randomization_uniform(self, cb):
-        # the randomization index w1' over fresh nonces must be uniform:
-        # chi-square over 10^4 encodings at the 1% level
+        # the randomization index w1' that encode reads over fresh nonces
+        # must be uniform: chi-square over 10^4 encodings at the 1% level.
+        # A twin codebook stores each codeword's w1' as its symbols.
         from scipy.stats import chisquare
         s = cb.sizes
         assert s["r1p"] >= 2
-        rng_draws = []
-        for nonce in range(10_000):
-            r = np.random.default_rng([cb.cfg.seed, 1, nonce])
-            rng_draws.append(int(r.integers(0, s["r1p"])))
-        counts = np.bincount(rng_draws, minlength=s["r1p"])
+        labels = np.indices(cb.x.shape)[2]
+        twin = Codebook(cb.cfg, cb.aux, cb.ch, cb.u1, cb.u2, cb.u3, cb.pair,
+                        np.where(cb.x >= 0, labels, -1))
+        nonces = np.arange(10_000)
+        got = encode(twin, np.zeros((len(nonces), 3), dtype=np.int64),
+                     nonces)[:, 0]
+        assert (got >= 0).all()
+        counts = np.bincount(got, minlength=s["r1p"])
         assert chisquare(counts).pvalue > 0.01
 
-    def test_unpaired_bin_raises(self, cb):
-        pair = cb.pair.copy()
-        cb.pair[...] = -1
-        try:
-            with pytest.raises(EncodingError):
-                encode(cb, 0, 0, 0, nonce=0)
-        finally:
-            cb.pair[...] = pair
+    def test_unpaired_bin_detected(self, layered):
+        # every message of the layered codebook, with several nonces each:
+        # a row is -1 throughout exactly where the drawn product bin is
+        # unpaired, and the stored codeword elsewhere
+        cb, s = layered, layered.sizes
+        msgs = np.array(list(np.ndindex(s["r0"], s["r1e"], s["w2"])) * 8)
+        nonces = np.arange(len(msgs))
+        got = encode(cb, msgs, nonces)
+        ints, _ = stream_draws((cb.cfg.seed, _STREAM_ENC), nonces,
+                               (s["r1p"], s["p1p"]))
+        (w1p, p1p), (w0, w1, w2) = ints.T, msgs.T
+        p1, p3 = w2 // s["p3"], w2 % s["p3"]
+        unpaired = cb.pair[w0, w1, w1p, p3, 0] < 0
+        assert 0 < unpaired.sum() < len(msgs)
+        assert (got[unpaired] == -1).all()
+        assert (got[~unpaired] >= 0).all()
+        assert np.array_equal(got, cb.x[w0, w1, w1p, p3, p1, p1p])
 
 
 def _decode_one(cb, y1, y2, y3):
