@@ -271,11 +271,10 @@ class TestEncode:
         assert np.array_equal(encode(cb, msgs[:1], np.array([5])), a[:1])
         assert np.array_equal(encode(cb, msgs, np.array([5, 9, 5])), a)
 
-    @pytest.mark.parametrize("msg", [(9, 0, 0), (0, 9, 0), (0, 0, 9),
-                                     (-1, 0, 0)])
-    def test_out_of_range(self, cb, msg):
-        with pytest.raises(UsageError):
-            encode(cb, np.array([msg]), np.array([0]))
+    def test_out_of_range(self, cb):
+        for msg in [(9, 0, 0), (0, 9, 0), (0, 0, 9), (-1, 0, 0)]:
+            with pytest.raises(UsageError):
+                encode(cb, np.array([msg]), np.array([0]))
 
     def test_one_nonce_per_message(self, cb):
         with pytest.raises(UsageError):
